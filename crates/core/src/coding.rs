@@ -24,7 +24,7 @@
 //!
 //! Determinism rules: coding is a pure function of `(n, k)` and the
 //! block bytes — no RNG, no clocks — so coded runs stay bit-identical
-//! across serial/sharded execution and across processes.
+//! across runs and across processes.
 //!
 //! [`group_decode_probability`] is the planning-side companion: the
 //! exact probability that at least `k` of `n` independently delivered

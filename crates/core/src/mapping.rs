@@ -472,7 +472,7 @@ pub struct DiversityMapping {
 ///
 /// The allocation is deliberately *structural*: even weights, paths in
 /// index order, no dependence on the evolving CDFs — so a Diversity
-/// mapping never flaps under remap and serial ≡ sharded stays exact.
+/// mapping never flaps under remap.
 /// Admission shortfalls surface as advisory [`Upcall`]s; the stream
 /// keeps its (best-possible) coded allocation.
 ///

@@ -123,8 +123,8 @@ impl StreamQueues {
 
     /// Like [`StreamQueues::new`], but pre-sizes the slab for `slots`
     /// concurrently queued packets so the first `slots` pushes never
-    /// grow the pool. Sharded workers use this to pre-warm per-shard
-    /// pools before the event loop starts.
+    /// grow the pool. The runtime uses this to pre-warm the pool before
+    /// the event loop starts.
     pub fn with_pool_capacity(streams: usize, capacity: usize, slots: usize) -> Self {
         let mut q = Self::new(streams, capacity);
         q.reserve_slots(slots);

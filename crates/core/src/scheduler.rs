@@ -592,8 +592,8 @@ impl Pgos {
     /// The pre-index fallback winner, recomputed by scanning every
     /// backlogged stream exactly as the old implementation did. Debug
     /// builds (which is what `cargo test` runs, golden traces and the
-    /// shard-equivalence matrix included) assert the index agrees on
-    /// every single fallback decision.
+    /// conformance matrix included) assert the index agrees on every
+    /// single fallback decision.
     #[cfg(debug_assertions)]
     fn debug_scan_winner(
         &mut self,

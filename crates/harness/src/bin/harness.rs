@@ -4,7 +4,7 @@
 //! ```text
 //! harness list
 //! harness sweep  [--sweep NAME|all] [--threads N] [--no-cache]
-//!                [--seed S] [--duration D] [--shards N] [--verbose]
+//!                [--seed S] [--duration D] [--verbose]
 //! harness report [--sweep NAME|all] [--check] [--seed S] [--duration D]
 //! harness speedup [--threads N]
 //! ```
@@ -37,7 +37,6 @@ struct Args {
     verbose: bool,
     seed: u64,
     duration: f64,
-    shards: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         verbose: false,
         seed: DEFAULT_SEED,
         duration: DEFAULT_DURATION,
-        shards: 1,
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} expects a value"));
@@ -75,11 +73,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--duration: {e}"))?
             }
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
             "--no-cache" => args.use_cache = false,
             "--check" => args.check = true,
             "--verbose" => args.verbose = true,
@@ -90,20 +83,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn selected_sweeps(args: &Args) -> Result<Vec<SweepSpec>, String> {
-    // `--shards N` reruns the sweep on the sharded data plane; the cell
-    // identity (and therefore the cache key) carries the shard count, so
-    // serial and sharded results never alias.
-    let sweeps = if args.sweep == "all" {
-        all_sweeps(args.seed, args.duration)
+    if args.sweep == "all" {
+        Ok(all_sweeps(args.seed, args.duration))
     } else {
         sweep_by_name(&args.sweep, args.seed, args.duration)
             .map(|s| vec![s])
-            .ok_or_else(|| format!("unknown sweep `{}` (see `harness list`)", args.sweep))?
-    };
-    Ok(sweeps
-        .into_iter()
-        .map(|s| s.with_shards(args.shards))
-        .collect())
+            .ok_or_else(|| format!("unknown sweep `{}` (see `harness list`)", args.sweep))
+    }
 }
 
 fn experiments_md_path() -> PathBuf {
@@ -325,7 +311,7 @@ fn main() -> ExitCode {
             println!(
                 "usage: harness <list|sweep|report|speedup> \
                  [--sweep NAME|all] [--threads N] [--no-cache] [--check] \
-                 [--seed S] [--duration D] [--shards N] [--verbose]"
+                 [--seed S] [--duration D] [--verbose]"
             );
             Ok(ExitCode::SUCCESS)
         }

@@ -135,7 +135,6 @@ mod tests {
             label: label.into(),
             seed: 1,
             duration: 50.0,
-            shards: 1,
             kind: CellKind::Validation { demand_pct: 85 },
         }
     }

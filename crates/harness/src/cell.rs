@@ -113,8 +113,8 @@ pub enum CellKind {
         streams: u32,
         /// Overlay path count.
         paths: u32,
-        /// Independent scheduler shards driven on their own OS threads
-        /// (round-robin stream partition; 1 = single instance).
+        /// Independent scheduler instances driven on their own OS
+        /// threads (round-robin stream partition; 1 = single instance).
         workers: u32,
     },
 }
@@ -188,12 +188,6 @@ pub struct CellSpec {
     pub seed: u64,
     /// Measured duration in seconds.
     pub duration: f64,
-    /// Data-plane shard count (1 = the classic serial runtime).
-    /// Participates in the cell identity — and therefore the cache
-    /// key — only when ≠ 1, and never in the derived seed, so a
-    /// sharded run replays exactly the same experiment as its serial
-    /// twin and the two results stay comparable.
-    pub shards: usize,
     /// Experiment kind + parameters.
     pub kind: CellKind,
 }
@@ -207,13 +201,8 @@ impl CellSpec {
     /// Stable identity: `sweep/group/label` plus everything that
     /// distinguishes the run.
     pub fn id(&self) -> String {
-        let shards = if self.shards == 1 {
-            String::new()
-        } else {
-            format!(",sh{}", self.shards)
-        };
         format!(
-            "{}/{}/{}@s{},d{}{shards},{}",
+            "{}/{}/{}@s{},d{},{}",
             self.sweep,
             self.group,
             self.label,
@@ -407,7 +396,6 @@ mod tests {
             label: "exact/blackout".into(),
             seed: 42,
             duration: 120.0,
-            shards: 1,
             kind: CellKind::Conformance {
                 mode: "exact".into(),
                 scenario: "blackout".into(),
@@ -432,21 +420,6 @@ mod tests {
         let mut other = spec();
         other.seed = 43;
         assert_ne!(other.cell_seed(), s.cell_seed());
-    }
-
-    #[test]
-    fn shards_rename_the_cell_but_keep_its_seed() {
-        // shards ≠ 1 gets its own identity (distinct cache entry) while
-        // replaying the same derived seed — that's what makes serial
-        // and sharded results comparable cell-for-cell.
-        let mut s = spec();
-        s.shards = 4;
-        assert_eq!(
-            s.id(),
-            "fault_sweep//exact/blackout@s42,d120,sh4,conformance:mode=exact,scenario=blackout"
-        );
-        assert_eq!(s.cell_seed(), spec().cell_seed());
-        assert_ne!(s.id(), spec().id());
     }
 
     #[test]
@@ -476,15 +449,14 @@ mod tests {
             kind.canon(),
             "probebudget:planner=active,budget=25,scenario=flap"
         );
-        // The budget renders into the full cell id like the shard count
-        // does, so budgeted cells cache apart from unlimited ones.
+        // The budget renders into the full cell id, so budgeted cells
+        // cache apart from unlimited ones.
         let s = CellSpec {
             sweep: "probe_budget".into(),
             group: "flap".into(),
             label: "active/25".into(),
             seed: 42,
             duration: 120.0,
-            shards: 1,
             kind,
         };
         assert_eq!(
@@ -510,7 +482,6 @@ mod tests {
             label: "diversity".into(),
             seed: 42,
             duration: 120.0,
-            shards: 1,
             kind,
         };
         assert_eq!(

@@ -484,20 +484,19 @@ fn sched_throughput_json(results: &[CellResult]) -> String {
 /// [`scalability_json`] only.
 fn scalability_table(results: &[CellResult]) -> String {
     let mut out = String::from(
-        "| cell | nodes | tenants | k | shards | edges | routes | graph | packets | virtual pps | p̂ min | E[Z] max | tenants pass |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
+        "| cell | nodes | tenants | k | edges | routes | graph | packets | virtual pps | p̂ min | E[Z] max | tenants pass |\n\
+         |---|---|---|---|---|---|---|---|---|---|---|---|\n",
     );
     for r in results {
         let hash = ((get(r, "graph_hi") as u64) << 32) | get(r, "graph_lo") as u64;
         let tenants = get(r, "tenants") as u64;
         let pass = get(r, "tenants_pass") as u64;
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {:#018x} | {} | {:.1} | {:.4} | {:.3} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {:#018x} | {} | {:.1} | {:.4} | {:.3} | {} |\n",
             r.label,
             get(r, "nodes") as u64,
             tenants,
             get(r, "k") as u64,
-            get(r, "shards") as u64,
             get(r, "edges") as u64,
             get(r, "routes") as u64,
             hash,
@@ -526,7 +525,6 @@ fn scalability_json(results: &[CellResult]) -> String {
                 ("nodes".into(), Json::Num(get(r, "nodes"))),
                 ("tenants".into(), Json::Num(get(r, "tenants"))),
                 ("k".into(), Json::Num(get(r, "k"))),
-                ("shards".into(), Json::Num(get(r, "shards"))),
                 ("edges".into(), Json::Num(get(r, "edges"))),
                 ("routes".into(), Json::Num(get(r, "routes"))),
                 ("packets".into(), Json::Num(get(r, "packets"))),
@@ -888,7 +886,6 @@ mod tests {
                 ("nodes".into(), 64.0),
                 ("tenants".into(), 8.0),
                 ("k".into(), 2.0),
-                ("shards".into(), 1.0),
                 ("edges".into(), 300.0),
                 ("routes".into(), 16.0),
                 ("graph_hi".into(), 0xdead_beef_u64 as f64),
@@ -909,7 +906,7 @@ mod tests {
     #[test]
     fn scalability_table_is_deterministic_and_json_carries_wall_clock() {
         let table = scalability_table(&[scal_result(true)]);
-        assert!(table.contains("| waxman/64n/8t/k2 | 64 | 8 | 2 | 1 | 300 | 16 |"));
+        assert!(table.contains("| waxman/64n/8t/k2 | 64 | 8 | 2 | 300 | 16 |"));
         assert!(table.contains("0xdeadbeef12345678"));
         assert!(table.contains("| 8/8 |"));
         // Wall-clock numbers never reach the checked block.

@@ -18,11 +18,9 @@ use iqpaths_core::scheduler::{Pgos, PgosConfig};
 use iqpaths_core::stream::StreamSpec;
 use iqpaths_middleware::knobs::{mapping_mode_by_name, scheduler_by_name};
 use iqpaths_middleware::runtime::{run, RuntimeConfig};
-use iqpaths_middleware::sharded::run_sharded;
 use iqpaths_overlay::node::CdfMode;
 use iqpaths_overlay::path::OverlayPath;
 use iqpaths_overlay::planner::{PlannerKind, ProbeBudget};
-use iqpaths_simnet::fault::FaultSchedule;
 use iqpaths_simnet::link::{quantize_cross, Link};
 use iqpaths_simnet::time::SimDuration;
 use iqpaths_simnet::topology::{emulab_testbed, PATH_A_ROUTE, PATH_B_ROUTE};
@@ -33,7 +31,6 @@ use iqpaths_testkit::{
     mode_by_name, run_conformance, run_scalability, ConformanceConfig, FaultScenario, GraphModel,
     ScalabilityConfig,
 };
-use iqpaths_trace::TraceHandle;
 use iqpaths_traces::envelope::{available_bandwidth, EnvelopeConfig};
 use iqpaths_traces::RateTrace;
 
@@ -94,7 +91,6 @@ fn run_conformance_cell(spec: &CellSpec, mode: &str, scenario: &str, res: &mut C
         FaultScenario::by_name(scenario).unwrap_or_else(|| panic!("unknown scenario `{scenario}`"));
     let mut cfg = ConformanceConfig::new(spec.cell_seed(), mode, scenario);
     cfg.duration = spec.duration;
-    cfg.shards = spec.shards.max(1);
     let r = run_conformance(cfg);
     for o in &r.outcomes {
         res.metric(&format!("{}.observed", o.kind), o.observed);
@@ -128,7 +124,6 @@ fn run_probe_budget_cell(
     let mut cfg = ConformanceConfig::new(spec.cell_seed(), CdfMode::Exact, scenario)
         .with_planner(planner, budget);
     cfg.duration = spec.duration;
-    cfg.shards = spec.shards.max(1);
     let r = run_conformance(cfg);
     for o in &r.outcomes {
         res.metric(&format!("{}.observed", o.kind), o.observed);
@@ -153,7 +148,6 @@ fn run_diversity_cell(spec: &CellSpec, mapping: &str, scenario: &str, res: &mut 
     let mut cfg =
         ConformanceConfig::new(spec.cell_seed(), CdfMode::Exact, scenario).with_mapping(mapping);
     cfg.duration = spec.duration;
-    cfg.shards = spec.shards.max(1);
     let r = run_conformance(cfg);
     for o in &r.outcomes {
         res.metric(&format!("{}.observed", o.kind), o.observed);
@@ -207,8 +201,7 @@ fn run_scalability_cell(
         nodes as usize,
         tenants as usize,
         k as usize,
-    )
-    .with_shards(spec.shards.max(1));
+    );
     cfg.duration = spec.duration;
     let t0 = std::time::Instant::now();
     let r = run_scalability(cfg);
@@ -218,7 +211,6 @@ fn run_scalability_cell(
     res.metric("nodes", r.nodes as f64);
     res.metric("tenants", r.tenants.len() as f64);
     res.metric("k", r.k as f64);
-    res.metric("shards", r.shards as f64);
     res.metric("edges", r.edges as f64);
     res.metric("routes", r.total_routes as f64);
     // The 64-bit generator hash split into exact-in-f64 halves.
@@ -261,10 +253,7 @@ fn run_smartpointer_cell(
 ) {
     let kind =
         scheduler_by_name(scheduler).unwrap_or_else(|| panic!("unknown scheduler `{scheduler}`"));
-    let mut e = knobs.experiment(spec.cell_seed(), spec.duration);
-    if spec.shards > 1 {
-        e.runtime.shards = spec.shards;
-    }
+    let e = knobs.experiment(spec.cell_seed(), spec.duration);
     let app = SmartPointerConfig {
         bond2_bw: bond2_mbps.map_or(SmartPointerConfig::default().bond2_bw, |m| m * 1.0e6),
         ..SmartPointerConfig::default()
@@ -289,26 +278,9 @@ fn run_smartpointer_cell(
             ..app
         };
         let workload = SmartPointer::new(app);
-        let report = if e.runtime.shards > 1 {
-            let pgos = e.pgos;
-            let factory =
-                move |specs: Vec<StreamSpec>, n_paths: usize| kind.build(specs, n_paths, pgos);
-            run_sharded(
-                &paths,
-                Box::new(workload),
-                &factory,
-                e.runtime,
-                spec.duration,
-                &FaultSchedule::new(),
-                TraceHandle::null(),
-                &mut |_| {},
-            )
-            .report
-        } else {
-            let specs = SmartPointer::specs(app);
-            let sched = kind.build(specs, paths.len(), e.pgos);
-            run(&paths, Box::new(workload), sched, e.runtime, spec.duration)
-        };
+        let specs = SmartPointer::specs(app);
+        let sched = kind.build(specs, paths.len(), e.pgos);
+        let report = run(&paths, Box::new(workload), sched, e.runtime, spec.duration);
         let atom = report.streams[ATOM].summary();
         let bond1 = report.streams[BOND1].summary();
         res.metric(

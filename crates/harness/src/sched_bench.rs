@@ -290,7 +290,7 @@ fn drive_ref(plan: &WorkerPlan, paths: usize) -> DriveStats {
 
 /// Runs one pass (all workers) of one implementation. Workers run on
 /// their own OS threads — deliberately *not* the engine's rayon pool,
-/// so a `--threads 1` engine still measures real shard parallelism.
+/// so a `--threads 1` engine still measures real worker parallelism.
 fn pass<F: Fn(&WorkerPlan) -> DriveStats + Sync>(plans: &[WorkerPlan], f: F) -> Vec<DriveStats> {
     if plans.len() == 1 {
         return vec![f(&plans[0])];
@@ -359,7 +359,6 @@ mod tests {
             label: format!("{streams}x{paths}x{workers}"),
             seed: 42,
             duration: 1.0,
-            shards: 1,
             kind: CellKind::SchedThroughput {
                 streams,
                 paths,

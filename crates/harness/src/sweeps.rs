@@ -26,11 +26,6 @@ pub struct CellTemplate {
     pub kind: CellKind,
     /// Duration override for this template (else the sweep default).
     pub duration: Option<f64>,
-    /// Shard-count override for this template (else the sweep default,
-    /// i.e. the `--shards` CLI knob). Sweeps whose shard axis is
-    /// intrinsic — the scalability family pins serial and sharded twins
-    /// of the same cell — set this; everything else leaves it `None`.
-    pub shards: Option<usize>,
 }
 
 impl CellTemplate {
@@ -40,7 +35,6 @@ impl CellTemplate {
             label: label.to_string(),
             kind,
             duration: None,
-            shards: None,
         }
     }
 }
@@ -56,8 +50,6 @@ pub struct SweepSpec {
     pub duration: f64,
     /// Axis seeds (each replicates every template).
     pub seeds: Vec<u64>,
-    /// Data-plane shards per cell (1 = the classic serial runtime).
-    pub shards: usize,
     /// Whether results may be served from / written to the on-disk
     /// cache. `false` for sweeps whose results carry wall-clock
     /// measurements (e.g. `sched_throughput`): a cached timing is a
@@ -81,23 +73,11 @@ impl SweepSpec {
                     label: t.label.clone(),
                     seed,
                     duration: t.duration.unwrap_or(self.duration),
-                    shards: t.shards.unwrap_or(self.shards).max(1),
                     kind: t.kind.clone(),
                 });
             }
         }
         cells
-    }
-
-    /// Returns the same sweep with every cell running `shards`
-    /// data-plane workers (the `--shards` CLI knob). Templates that pin
-    /// their own shard count ([`CellTemplate::shards`]) keep it — the
-    /// scalability family's intrinsic serial/sharded axis survives a
-    /// CLI override.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 }
 
@@ -145,7 +125,6 @@ pub fn fault_sweep(seed: u64, duration: f64) -> SweepSpec {
         about: "guarantee conformance across CDF backends x fault scenarios",
         duration,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates,
     }
@@ -164,7 +143,6 @@ pub fn seed_sweep(duration: f64) -> SweepSpec {
         about: "SmartPointer critical-stream guarantees across 10 seeds x 3 schedulers",
         duration: duration.min(60.0),
         seeds: (1..=10).collect(),
-        shards: 1,
         cacheable: true,
         templates: schedulers
             .into_iter()
@@ -274,7 +252,6 @@ pub fn ablations(seed: u64, duration: f64) -> SweepSpec {
         about: "DESIGN.md \u{a7}6 ablations: window, remap, noise, load, CDF, buffer, fluid",
         duration,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates,
     }
@@ -288,7 +265,6 @@ pub fn validation(seed: u64, duration: f64) -> SweepSpec {
         about: "Lemma 1/2 promises from the truth CDF vs measured service",
         duration,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates: [55u32, 70, 85, 95, 105]
             .into_iter()
@@ -311,7 +287,6 @@ pub fn fig04_prediction(seed: u64) -> SweepSpec {
         about: "Figure 4: mean-predictor error vs percentile failure rate",
         duration: 20_000.0,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates: (1..=10u32)
             .map(|k| {
@@ -340,7 +315,6 @@ pub fn smoke() -> SweepSpec {
         about: "CI mini-matrix: 3 CDF backends x 2 scenarios x 2 seeds, short runs",
         duration: 48.0,
         seeds: vec![7, 8],
-        shards: 1,
         cacheable: true,
         templates,
     }
@@ -381,7 +355,6 @@ pub fn probe_budget(seed: u64, duration: f64) -> SweepSpec {
         about: "probe planners x budgets x fault scenarios: conformance vs probe spend",
         duration,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates,
     }
@@ -425,7 +398,6 @@ pub fn diversity(seed: u64, duration: f64) -> SweepSpec {
         about: "Diversity vs PGOS mappings x capacity + silent-loss fault scenarios",
         duration,
         seeds: vec![seed],
-        shards: 1,
         cacheable: true,
         templates,
     }
@@ -462,7 +434,6 @@ pub fn sched_throughput(seed: u64) -> SweepSpec {
         about: "zero-alloc fast path vs pre-refactor reference: streams x paths x workers",
         duration: 1.0,
         seeds: vec![seed],
-        shards: 1,
         cacheable: false,
         templates,
     }
@@ -471,48 +442,40 @@ pub fn sched_throughput(seed: u64) -> SweepSpec {
 /// Graph-scale many-tenant conformance: seeded random overlays
 /// (Waxman / preferential attachment), tenants routed over Yen's k
 /// cheapest loopless paths, flash-crowd waves + relay churn, per-tenant
-/// Lemma 1/2 verdicts. The axes climb `nodes × tenants × k`, with two
-/// cells replicated on the 4-shard data plane (pinned per template, so
-/// the serial/sharded pair survives a `--shards` override). The
+/// Lemma 1/2 verdicts. The axes climb `nodes × tenants × k`. The
 /// conformance verdicts and throughput *per virtual second* are
 /// deterministic and feed the checked `EXPERIMENTS.md` block; the
 /// wall-clock packets/sec only reach `BENCH_scalability.json`, which is
 /// why the sweep is uncacheable — same policy as `sched_throughput`.
 pub fn scalability(seed: u64) -> SweepSpec {
-    let axes: [(&str, u32, u32, u32, Option<usize>); 8] = [
-        ("waxman", 64, 8, 2, None),
-        ("waxman", 64, 16, 2, None),
-        ("ba", 64, 16, 2, None),
-        ("waxman", 128, 32, 3, None),
-        ("waxman", 256, 64, 4, None),
-        ("ba", 256, 64, 4, None),
-        ("waxman", 64, 16, 2, Some(4)),
-        ("waxman", 256, 64, 4, Some(4)),
+    let axes: [(&str, u32, u32, u32); 6] = [
+        ("waxman", 64, 8, 2),
+        ("waxman", 64, 16, 2),
+        ("ba", 64, 16, 2),
+        ("waxman", 128, 32, 3),
+        ("waxman", 256, 64, 4),
+        ("ba", 256, 64, 4),
     ];
     let templates = axes
         .into_iter()
-        .map(|(model, nodes, tenants, k, shards)| {
-            let suffix = shards.map_or(String::new(), |s| format!("/sh{s}"));
-            let mut t = CellTemplate::new(
+        .map(|(model, nodes, tenants, k)| {
+            CellTemplate::new(
                 "",
-                &format!("{model}/{nodes}n/{tenants}t/k{k}{suffix}"),
+                &format!("{model}/{nodes}n/{tenants}t/k{k}"),
                 CellKind::Scalability {
                     model: model.to_string(),
                     nodes,
                     tenants,
                     k,
                 },
-            );
-            t.shards = shards;
-            t
+            )
         })
         .collect();
     SweepSpec {
         name: "scalability",
-        about: "graph-scale many-tenant conformance: nodes x tenants x k x shards",
+        about: "graph-scale many-tenant conformance: nodes x tenants x k",
         duration: 24.0,
         seeds: vec![seed],
-        shards: 1,
         cacheable: false,
         templates,
     }
@@ -557,7 +520,7 @@ mod tests {
         assert_eq!(smoke().expand().len(), 12);
         assert_eq!(probe_budget(42, 120.0).expand().len(), 30);
         assert_eq!(diversity(42, 120.0).expand().len(), 10);
-        assert_eq!(scalability(42).expand().len(), 8);
+        assert_eq!(scalability(42).expand().len(), 6);
         assert_eq!(sched_throughput(42).expand().len(), 24);
     }
 
@@ -573,36 +536,6 @@ mod tests {
                 sweep.name
             );
         }
-    }
-
-    #[test]
-    fn scalability_pins_its_shard_axis_against_cli_overrides() {
-        let cells = scalability(42).with_shards(4).expand();
-        let pinned_serial: Vec<&CellSpec> = cells
-            .iter()
-            .filter(|c| !c.label.ends_with("/sh4"))
-            .collect();
-        // Unpinned templates follow the CLI override…
-        assert!(pinned_serial.iter().all(|c| c.shards == 4));
-        // …while the intrinsic sh4 twins keep their own pin.
-        let twins: Vec<&CellSpec> = cells.iter().filter(|c| c.label.ends_with("/sh4")).collect();
-        assert_eq!(twins.len(), 2);
-        assert!(twins.iter().all(|c| c.shards == 4));
-        // Default expansion: the serial/sharded twins replay the same
-        // derived seed under distinct identities.
-        let default = scalability(42).expand();
-        let serial = default
-            .iter()
-            .find(|c| c.label == "waxman/256n/64t/k4")
-            .unwrap();
-        let sharded = default
-            .iter()
-            .find(|c| c.label == "waxman/256n/64t/k4/sh4")
-            .unwrap();
-        assert_eq!(serial.cell_seed(), sharded.cell_seed());
-        assert_ne!(serial.id(), sharded.id());
-        assert_eq!(serial.shards, 1);
-        assert_eq!(sharded.shards, 4);
     }
 
     #[test]

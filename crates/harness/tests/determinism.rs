@@ -25,7 +25,6 @@ fn mini_matrix() -> SweepSpec {
                     scenario: scenario.to_string(),
                 },
                 duration: None,
-                shards: None,
             });
         }
     }
@@ -34,7 +33,6 @@ fn mini_matrix() -> SweepSpec {
         about: "determinism-suite matrix",
         duration: 45.0,
         seeds: vec![5],
-        shards: 1,
         cacheable: true,
         templates,
     }

@@ -15,9 +15,7 @@ use iqpaths_core::scheduler::{Pgos, PgosConfig};
 use iqpaths_core::stream::StreamSpec;
 use iqpaths_core::traits::MultipathScheduler;
 use iqpaths_overlay::path::OverlayPath;
-use iqpaths_simnet::fault::FaultSchedule;
 use iqpaths_simnet::topology::{emulab_testbed, PATH_A_ROUTE, PATH_B_ROUTE};
-use iqpaths_trace::TraceHandle;
 use iqpaths_traces::nlanr::figure8_cross_traffic;
 
 /// Which scheduler an experiment runs.
@@ -113,10 +111,8 @@ impl Figure8Experiment {
         self.dispatch(&paths, workload, kind, &mut |_| {})
     }
 
-    /// Routes a run through the serial event loop or, when
-    /// `runtime.shards > 1`, the sharded controller plane — every
-    /// builder experiment funnels through here, so the `shards` knob
-    /// covers all of them.
+    /// Builds the scheduler for `kind` and runs the event loop — every
+    /// builder experiment funnels through here.
     fn dispatch(
         &self,
         paths: &[OverlayPath],
@@ -124,33 +120,16 @@ impl Figure8Experiment {
         kind: SchedulerKind,
         sink: &mut dyn FnMut(&DeliveryEvent),
     ) -> RunReport {
-        if self.runtime.shards > 1 {
-            let pgos = self.pgos;
-            let factory =
-                move |specs: Vec<StreamSpec>, n_paths: usize| kind.build(specs, n_paths, pgos);
-            crate::sharded::run_sharded(
-                paths,
-                workload,
-                &factory,
-                self.runtime,
-                self.duration,
-                &FaultSchedule::new(),
-                TraceHandle::null(),
-                sink,
-            )
-            .report
-        } else {
-            let specs = workload.specs().to_vec();
-            let scheduler = kind.build(specs, paths.len(), self.pgos);
-            runtime::run_with_sink(
-                paths,
-                workload,
-                scheduler,
-                self.runtime,
-                self.duration,
-                sink,
-            )
-        }
+        let specs = workload.specs().to_vec();
+        let scheduler = kind.build(specs, paths.len(), self.pgos);
+        runtime::run_with_sink(
+            paths,
+            workload,
+            scheduler,
+            self.runtime,
+            self.duration,
+            sink,
+        )
     }
 
     /// Runs the SmartPointer experiment (Figures 9–11).
@@ -335,18 +314,6 @@ mod tests {
         let out = e.run_mpeg4(Mpeg4Config::default(), SchedulerKind::Pgos);
         assert!(out.playable_fraction > 0.5, "{}", out.playable_fraction);
         assert!(out.mean_quality >= 1.0, "{}", out.mean_quality);
-    }
-
-    #[test]
-    fn sharded_builder_run_covers_every_stream() {
-        let mut e = quick();
-        e.runtime.shards = 2;
-        let out = e.run_smartpointer(SmartPointerConfig::default(), SchedulerKind::Pgos);
-        assert_eq!(out.report.streams.len(), 3);
-        assert!(
-            out.report.streams.iter().all(|s| s.delivered_packets > 0),
-            "every stream must keep flowing through its shard"
-        );
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub struct ExperimentKnobs {
     pub probe_noise: Option<f64>,
     /// Monitoring CDF backend.
     pub cdf_mode: Option<CdfMode>,
-    /// Data-plane worker count for the sharded runtime (`None` = the
-    /// classic serial event loop; `Some(1)` is equivalent but renders
-    /// into the cell identity).
-    pub shards: Option<usize>,
     /// Probe planner selection (`None` = the legacy periodic planner).
     pub planner: Option<PlannerKind>,
     /// Probe budget as a percentage of the periodic probe-everything
@@ -65,9 +61,6 @@ impl ExperimentKnobs {
         if let Some(m) = self.cdf_mode {
             e.runtime.cdf_mode = m;
         }
-        if let Some(s) = self.shards {
-            e.runtime.shards = s.max(1);
-        }
         if let Some(p) = self.planner {
             e.runtime.planner = p;
         }
@@ -97,9 +90,6 @@ impl ExperimentKnobs {
         }
         if let Some(m) = self.cdf_mode {
             parts.push(format!("cdf={}", cdf_mode_name(m)));
-        }
-        if let Some(s) = self.shards {
-            parts.push(format!("shards={s}"));
         }
         if let Some(p) = self.planner {
             parts.push(format!("planner={}", p.name()));
@@ -221,23 +211,6 @@ mod tests {
         };
         assert_eq!(knobs.canon(), "cdf=sketch33,noise=0.2,window=2");
         assert_eq!(knobs.canon(), knobs.canon());
-    }
-
-    #[test]
-    fn shards_knob_renders_and_applies() {
-        let knobs = ExperimentKnobs {
-            shards: Some(4),
-            ..ExperimentKnobs::none()
-        };
-        assert_eq!(knobs.canon(), "shards=4");
-        let e = knobs.experiment(1, 10.0);
-        assert_eq!(e.runtime.shards, 4);
-        // The serial default stays out of the canonical identity.
-        assert_eq!(ExperimentKnobs::none().canon(), "");
-        assert_eq!(
-            ExperimentKnobs::none().experiment(1, 10.0).runtime.shards,
-            1
-        );
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! back to the scheduler at every scheduling-window boundary.
 //!
 //! * [`runtime`] — the virtual-time experiment loop.
-//! * [`sharded`] — the controller-plane/data-plane split: N workers
-//!   each run the event loop over their own shard of the stream table,
-//!   merged deterministically by the controller.
 //! * [`report`] — per-stream and per-run result records.
 //! * [`builder`] — a high-level API for standing up the Figure 8
 //!   testbed with any workload/scheduler combination.
@@ -28,7 +25,6 @@
 //! | §5.2.2 admission upcalls | [`runtime::DeliveryEvent`] stream-rejected records |
 //! | Diversity mapping (coded lanes) | [`runtime`] decode-complete delivery + [`report::CodingStats`] |
 //! | per-stream delivered/missed accounting | [`report::StreamReport`] |
-//! | controller/data-plane split (DESIGN.md §11) | [`sharded`] |
 //! | sweep knob surface (docs/POLICIES.md) | [`knobs::ExperimentKnobs`] |
 
 #![deny(missing_docs)]
@@ -40,13 +36,8 @@ pub mod multicast;
 pub mod pubsub;
 pub mod report;
 pub mod runtime;
-pub mod sharded;
 
 pub use builder::{Figure8Experiment, SchedulerKind};
 pub use knobs::ExperimentKnobs;
 pub use report::{RunReport, StreamReport};
 pub use runtime::{run, run_faulted, DeliveryEvent, RuntimeConfig};
-pub use sharded::{
-    run_sharded, run_sharded_with, shard_seed, SchedulerFactory, ShardExecution, ShardPlan,
-    ShardedOutcome,
-};

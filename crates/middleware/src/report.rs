@@ -114,7 +114,8 @@ impl StreamReport {
 /// Full outcome of one experiment run.
 ///
 /// `PartialEq` compares every field bit-for-bit (float equality
-/// included) — the currency of the serial≡sharded equivalence suite.
+/// included) — the currency of the traced ≡ untraced and repeatability
+/// checks.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
     /// Scheduler under test.

@@ -56,11 +56,6 @@ pub struct RuntimeConfig {
     /// How the monitoring module summarizes distributions (the
     /// `abl-hist` exact-vs-streaming-histogram knob).
     pub cdf_mode: iqpaths_overlay::node::CdfMode,
-    /// Data-plane worker count for [`crate::sharded::run_sharded`].
-    /// `1` (the default) runs the classic serial event loop and is
-    /// byte-identical to the pre-split runtime; the serial entry
-    /// points in this module ignore the knob.
-    pub shards: usize,
     /// Which probe planner schedules main-loop measurements.
     /// `Periodic` with an unlimited budget (the default) is the legacy
     /// probe-everything discipline, byte-identical to the pre-planner
@@ -86,7 +81,6 @@ impl Default for RuntimeConfig {
             blocked_recheck_secs: 0.01,
             seed: 1,
             cdf_mode: iqpaths_overlay::node::CdfMode::Exact,
-            shards: 1,
             planner: PlannerKind::Periodic,
             probe_budget: ProbeBudget::Unlimited,
         }
@@ -371,67 +365,6 @@ pub fn run_traced(
     .0
 }
 
-/// [`run_traced`] that additionally returns the probe planner's
-/// per-path main-loop probe counts — the same planner state the
-/// sharded controller publishes on
-/// [`crate::sharded::ShardedOutcome::probe_counts`], exposed here so
-/// serial (`shards = 1`) callers can account probe spend identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced_counted(
-    paths: &[OverlayPath],
-    workload: Box<dyn Workload>,
-    scheduler: Box<dyn MultipathScheduler>,
-    cfg: RuntimeConfig,
-    duration: f64,
-    faults: &FaultSchedule,
-    trace: TraceHandle,
-    sink: &mut dyn FnMut(&DeliveryEvent),
-) -> (RunReport, Vec<u64>) {
-    let params = RunParams {
-        paths,
-        cfg,
-        duration,
-        faults,
-        trace,
-    };
-    let out = execute(params, workload, scheduler, sink);
-    (out.report, out.probe_counts)
-}
-
-/// Everything one event-loop run needs besides the workload, the
-/// scheduler under test, and the delivery sink. The single
-/// parameterization point: every public entry above is a thin wrapper
-/// over [`execute`], and the sharded controller plane calls it once per
-/// data-plane worker.
-pub(crate) struct RunParams<'a> {
-    /// Overlay paths (pre-fault; faults compile in inside [`execute`]).
-    pub paths: &'a [OverlayPath],
-    /// Runtime tuning (including the seed every RNG derives from).
-    pub cfg: RuntimeConfig,
-    /// Measured duration in seconds (excludes warm-up).
-    pub duration: f64,
-    /// Deterministic fault schedule (empty = clean run).
-    pub faults: &'a FaultSchedule,
-    /// Trace handle (null = no emission).
-    pub trace: TraceHandle,
-}
-
-/// What one event-loop run produces: the standard report plus the final
-/// per-path goodput snapshots the sharded controller merges into a
-/// global CDF view ([`crate::sharded::ShardedOutcome::path_cdfs`]).
-pub(crate) struct RunOutput {
-    /// The standard run report.
-    pub report: RunReport,
-    /// Per-path monitoring snapshot at the end of the run (goodput
-    /// scaled, no oracle attached).
-    pub final_snapshots: Vec<PathSnapshot>,
-    /// Planner state published alongside the CDFs: how many main-loop
-    /// probes the planner scheduled per path (lost reports included —
-    /// the planner spent budget on them). The sharded controller sums
-    /// these across workers.
-    pub probe_counts: Vec<u64>,
-}
-
 /// Builds per-path goodput snapshots from the monitoring module's
 /// current state: the measured loss rate scales each available-
 /// bandwidth distribution down to goodput (guarantees are made on
@@ -471,26 +404,25 @@ fn goodput_snapshots_into(
     );
 }
 
-/// The one event loop. See [`run_traced`] for semantics; this form
-/// additionally returns the final monitoring snapshots.
+/// The one event loop: [`run_traced`] that additionally returns how many
+/// main-loop probes the planner scheduled per path (lost reports
+/// included — the planner spent budget on them), so callers can account
+/// probe spend against the budget.
 ///
 /// # Panics
 /// Panics on an empty path set, non-positive duration, or a fault
 /// targeting an unknown path index.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn execute(
-    params: RunParams<'_>,
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+pub fn run_traced_counted(
+    paths: &[OverlayPath],
     mut workload: Box<dyn Workload>,
     mut scheduler: Box<dyn MultipathScheduler>,
+    cfg: RuntimeConfig,
+    duration: f64,
+    faults: &FaultSchedule,
+    trace: TraceHandle,
     sink: &mut dyn FnMut(&DeliveryEvent),
-) -> RunOutput {
-    let RunParams {
-        paths,
-        cfg,
-        duration,
-        faults,
-        trace,
-    } = params;
+) -> (RunReport, Vec<u64>) {
     assert!(!paths.is_empty(), "need at least one overlay path");
     assert!(duration > 0.0, "duration must be positive");
     let n_paths = paths.len();
@@ -829,7 +761,7 @@ pub(crate) fn execute(
                 let lost_random = loss_p > 0.0 && loss_rng.gen_bool(loss_p);
                 // Scheduled transit-loss faults (`Fault::TransitLoss`):
                 // silent post-service loss, drawn statelessly from the
-                // packet identity so serial and sharded runs agree.
+                // packet identity, independent of event order.
                 if lost_random || injector.transit_lost(j, s as u64, delivery.packet.seq, now_s) {
                     transit_lost[s] += 1;
                     path_lost[j] += 1;
@@ -1082,29 +1014,18 @@ pub(crate) fn execute(
         .collect();
 
     trace.flush();
-    let mut final_snapshots = Vec::with_capacity(n_paths);
-    goodput_snapshots_into(
-        &monitoring,
-        &path_transmitted,
-        &path_lost,
-        |_| None,
-        &mut final_snapshots,
-    );
-    RunOutput {
-        report: RunReport {
-            scheduler: scheduler.name().to_string(),
-            duration,
-            monitor_window: cfg.monitor_window_secs,
-            streams,
-            path_sent_bytes: services.iter().map(PathService::sent_bytes).collect(),
-            path_blocked_events,
-            upcalls,
-            events: events.processed(),
-            metrics,
-        },
-        final_snapshots,
-        probe_counts,
-    }
+    let report = RunReport {
+        scheduler: scheduler.name().to_string(),
+        duration,
+        monitor_window: cfg.monitor_window_secs,
+        streams,
+        path_sent_bytes: services.iter().map(PathService::sent_bytes).collect(),
+        path_blocked_events,
+        upcalls,
+        events: events.processed(),
+        metrics,
+    };
+    (report, probe_counts)
 }
 
 #[cfg(test)]
@@ -1353,19 +1274,17 @@ mod tests {
             probe_budget: ProbeBudget::percent(25),
             ..quick_cfg()
         };
-        let out = execute(
-            RunParams {
-                paths: &paths,
-                cfg,
-                duration: 10.0,
-                faults: &FaultSchedule::new(),
-                trace: TraceHandle::null(),
-            },
+        let (report, probe_counts) = run_traced_counted(
+            &paths,
             Box::new(src),
             Box::new(pgos),
+            cfg,
+            10.0,
+            &FaultSchedule::new(),
+            TraceHandle::null(),
             &mut |_| {},
         );
-        let total: u64 = out.probe_counts.iter().sum();
+        let total: u64 = probe_counts.iter().sum();
         // ~100 slots in 10 s at 0.1 s interval; the event loop's end
         // bound can add/remove one slot, hence the ceiling with slack.
         let slots = (10.0f64 / cfg.probe_interval_secs).round() as u64 + 2;
@@ -1375,11 +1294,11 @@ mod tests {
             "total {total} exceeds 25% of {} probe opportunities",
             slots * 2
         );
-        assert!(out.probe_counts.iter().all(|&c| c > 0), "a path starved");
+        assert!(probe_counts.iter().all(|&c| c > 0), "a path starved");
         assert!(
-            (out.report.streams[0].mean_throughput() - 10.0e6).abs() / 10.0e6 < 0.05,
+            (report.streams[0].mean_throughput() - 10.0e6).abs() / 10.0e6 < 0.05,
             "mean {}",
-            out.report.streams[0].mean_throughput()
+            report.streams[0].mean_throughput()
         );
     }
 
@@ -1413,20 +1332,18 @@ mod tests {
         let paths = vec![clean_path(0, 100.0)];
         let (specs, src) = one_stream_workload(5.0, 5.0);
         let pgos = Pgos::new(PgosConfig::default(), specs, 1);
-        let out = execute(
-            RunParams {
-                paths: &paths,
-                cfg: quick_cfg(),
-                duration: 5.0,
-                faults: &FaultSchedule::new(),
-                trace: TraceHandle::null(),
-            },
+        let (_, probe_counts) = run_traced_counted(
+            &paths,
             Box::new(src),
             Box::new(pgos),
+            quick_cfg(),
+            5.0,
+            &FaultSchedule::new(),
+            TraceHandle::null(),
             &mut |_| {},
         );
         let slots = (5.0f64 / quick_cfg().probe_interval_secs).round() as u64;
-        assert!((out.probe_counts[0] as i64 - slots as i64).abs() <= 2);
+        assert!((probe_counts[0] as i64 - slots as i64).abs() <= 2);
     }
 
     #[test]

@@ -362,9 +362,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `splitmix64(seed ^ fnv1a64(salt))`.
 ///
 /// Every consumer that needs an "independent but reproducible"
-/// sub-seed — harness sweep cells, family seeds, data-plane shard
-/// seeds — derives it through this one function, so two derivations
-/// collide only when both the base seed and the salt string agree.
+/// sub-seed — harness sweep cells, family seeds, per-tenant seeds —
+/// derives it through this one function, so two derivations collide
+/// only when both the base seed and the salt string agree.
 pub fn salted_seed(seed: u64, salt: &str) -> u64 {
     splitmix64(seed ^ fnv1a64(salt.as_bytes()))
 }
@@ -449,9 +449,7 @@ impl FaultInjector {
     ///
     /// Stateless by design — a pure hash of `(salt, path, stream,
     /// seq)`, no counter — so the draw for a given packet is identical
-    /// no matter which worker shard serves it or in what order
-    /// deliveries interleave (the serial ≡ sharded byte-equality
-    /// requirement).
+    /// no matter in what order deliveries interleave.
     pub fn transit_lost(&self, path: usize, stream: u64, seq: u64, t: f64) -> bool {
         let p = self.transit_loss_at(path, t);
         if p <= 0.0 {
@@ -532,7 +530,7 @@ mod tests {
         assert!(!inj.transit_lost(1, 3, 77, 25.0));
         assert!(!inj.transit_lost(0, 3, 77, 15.0));
         // Pure hash: the same packet draws identically across injector
-        // clones (the sharded workers' view).
+        // clones.
         let twin = FaultInjector::new(&s, 2, 42);
         let mut s2 = FaultSchedule::new();
         s2.transit_loss(1, 10.0, 20.0, 0.5);
@@ -672,7 +670,7 @@ mod tests {
     #[test]
     fn salted_seed_is_the_pinned_derivation() {
         // Pinned: changing this silently invalidates every recorded
-        // experiment (harness cell seeds) and every sharded replay.
+        // experiment (harness cell seeds, per-tenant seeds).
         assert_eq!(salted_seed(42, "x"), splitmix64(42 ^ fnv1a64(b"x")));
         assert_ne!(salted_seed(42, "shard0/2"), salted_seed(42, "shard1/2"));
         assert_ne!(salted_seed(42, "shard0/2"), salted_seed(43, "shard0/2"));

@@ -162,45 +162,6 @@ impl CdfSummary {
         EmpiricalCdf::from_clean_samples(vals.map(|b| (b - committed).max(0.0)).collect())
     }
 
-    /// Merges per-shard summaries of the same path into one global
-    /// summary (the cross-shard CDF aggregation step of the sharded
-    /// runtime, after Chambers et al.'s mergeable incremental quantile
-    /// estimation).
-    ///
-    /// The sample streams of every part are pooled and canonically
-    /// sorted, so the result is independent of shard enumeration order.
-    /// If any part is a [`CdfSummary::Sketch`], the pooled stream is
-    /// re-observed into a fresh sketch sized at the widest marker bank
-    /// among the sketch parts (constant-memory output); otherwise the
-    /// pooled samples materialize as an exact CDF.
-    pub fn merge_all(parts: &[CdfSummary]) -> Self {
-        let mut pooled: Vec<f64> = Vec::new();
-        let mut sketch_markers: Option<usize> = None;
-        for p in parts {
-            let (vals, n) = p.sorted_stream();
-            pooled.reserve(n);
-            pooled.extend(vals);
-            if let CdfSummary::Sketch { cdf, .. } = p {
-                let m = cdf.markers();
-                sketch_markers = Some(sketch_markers.map_or(m, |prev| prev.max(m)));
-            }
-        }
-        // Canonical order: total_cmp is a total order on f64 bits, so
-        // the merged summary does not depend on which shard finished
-        // first.
-        pooled.sort_by(f64::total_cmp);
-        match sketch_markers {
-            Some(m) => {
-                let mut sk = QuantileSketch::new(m);
-                for &v in &pooled {
-                    sk.observe(v);
-                }
-                CdfSummary::sketch(sk)
-            }
-            None => CdfSummary::exact(EmpiricalCdf::from_clean_samples(pooled)),
-        }
-    }
-
     /// Largest sample (scale applied).
     pub fn max(&self) -> Option<f64> {
         let (inner_max, f) = match self {
@@ -394,53 +355,6 @@ mod tests {
         // Scaled sketch queries shift with the factor.
         let half = s.scale(0.5);
         assert!((half.mean() - 0.5 * s.mean()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_all_is_order_independent_and_pools_samples() {
-        let vals = pseudo(120);
-        let (a, b) = vals.split_at(70);
-        let pa = CdfSummary::exact(EmpiricalCdf::from_clean_samples(a.to_vec()));
-        let pb = CdfSummary::rolling(TreapCdf::from_samples(b.iter().copied()));
-        let ab = CdfSummary::merge_all(&[pa.clone(), pb.clone()]);
-        let ba = CdfSummary::merge_all(&[pb, pa]);
-        assert_eq!(ab.len(), vals.len());
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(ab.quantile(q), ba.quantile(q), "q={q}");
-        }
-        // The pooled result equals the serial CDF over all samples.
-        let serial = CdfSummary::exact(EmpiricalCdf::from_clean_samples(vals));
-        assert_eq!(ab.ks_distance(&serial), 0.0);
-    }
-
-    #[test]
-    fn merge_all_takes_the_sketch_path_when_any_part_is_a_sketch() {
-        let vals = pseudo(500);
-        let (a, b) = vals.split_at(250);
-        let mut sk = QuantileSketch::new(33);
-        for &v in a {
-            sk.observe(v);
-        }
-        let parts = [
-            CdfSummary::sketch(sk),
-            CdfSummary::exact(EmpiricalCdf::from_clean_samples(b.to_vec())),
-        ];
-        let merged = CdfSummary::merge_all(&parts);
-        match &merged {
-            CdfSummary::Sketch { cdf, .. } => assert_eq!(cdf.markers(), 33),
-            other => panic!("expected sketch output, got {other:?}"),
-        }
-        // Still a sane summary of the pooled distribution.
-        let serial = EmpiricalCdf::from_clean_samples(vals);
-        let q = merged.quantile(0.5).unwrap();
-        assert!((serial.prob_below(q) - 0.5).abs() < 0.1);
-    }
-
-    #[test]
-    fn merge_all_of_nothing_is_empty() {
-        let m = CdfSummary::merge_all(&[]);
-        assert!(m.is_empty());
-        assert_eq!(m.quantile(0.5), None);
     }
 
     #[test]

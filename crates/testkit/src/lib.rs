@@ -53,13 +53,13 @@ pub use invariants::{
     InvariantChecker, MappingFreshnessChecker, PrecedenceChecker, Violation,
 };
 pub use manytenant::{
-    compile as compile_scalability, run_scalability, run_scalability_traced, run_scalability_with,
-    ScalabilityConfig, ScalabilityReport, TenantOutcome, STREAMS_PER_TENANT,
+    compile as compile_scalability, run_scalability, run_scalability_traced, ScalabilityConfig,
+    ScalabilityReport, TenantOutcome, STREAMS_PER_TENANT,
 };
 pub use scenario::{
     conformance_streams, eligible_windows, lemma_outcomes, mode_by_name, mode_name,
-    run_conformance, run_conformance_traced, run_conformance_traced_with, run_conformance_with,
-    sweep_modes, ConformanceConfig, ConformanceReport, FaultScenario, LemmaOutcome,
+    run_conformance, run_conformance_traced, sweep_modes, ConformanceConfig, ConformanceReport,
+    FaultScenario, LemmaOutcome,
 };
 pub use stats::{hoeffding_epsilon, probit, wilson_interval, BernoulliCheck, BoundedMeanCheck};
 pub use topology::{GeneratedGraph, GraphGen, GraphModel, TopologyGen};

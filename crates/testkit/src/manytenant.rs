@@ -17,9 +17,9 @@
 //!    churn blacks out every path through the highest-degree node, both
 //!    expressed as ordinary [`FaultSchedule`] scripts with local path
 //!    indices,
-//! 5. each tenant then runs the standard serial or sharded runtime
-//!    unchanged, and its guarantees are checked with the same
-//!    [`lemma_outcomes`] the single-tenant conformance suite uses.
+//! 5. each tenant then runs the standard runtime unchanged, and its
+//!    guarantees are checked with the same [`lemma_outcomes`] the
+//!    single-tenant conformance suite uses.
 //!
 //! Determinism: the graph, the tenant pairs, the contention map and
 //! every per-tenant runtime seed are salted-splitmix64 derivations of
@@ -32,9 +32,7 @@ use crate::topology::{GeneratedGraph, GraphGen, GraphModel};
 use iqpaths_apps::workload::FramedSource;
 use iqpaths_core::scheduler::{Pgos, PgosConfig};
 use iqpaths_core::stream::StreamSpec;
-use iqpaths_core::traits::MultipathScheduler;
 use iqpaths_middleware::runtime::{run_traced, RuntimeConfig};
-use iqpaths_middleware::sharded::{run_sharded_with, ShardExecution};
 use iqpaths_overlay::graph::OverlayNodeId;
 use iqpaths_overlay::node::CdfMode;
 use iqpaths_overlay::path::OverlayPath;
@@ -65,8 +63,6 @@ pub struct ScalabilityConfig {
     pub model: GraphModel,
     /// Monitoring CDF backend.
     pub mode: CdfMode,
-    /// Data-plane shards per tenant runtime.
-    pub shards: usize,
     /// Measured duration in seconds (after warm-up, ≥ 12).
     pub duration: f64,
     /// Monitoring-only warm-up in seconds.
@@ -83,7 +79,7 @@ pub struct ScalabilityConfig {
 
 impl ScalabilityConfig {
     /// The standard case: 24 s measured, 6 s warm-up, 99% confidence,
-    /// 4 s settle, serial runtime, waves + churn on.
+    /// 4 s settle, waves + churn on.
     pub fn new(seed: u64, model: GraphModel, nodes: usize, tenants: usize, k: usize) -> Self {
         Self {
             seed,
@@ -92,7 +88,6 @@ impl ScalabilityConfig {
             k,
             model,
             mode: CdfMode::Exact,
-            shards: 1,
             duration: 24.0,
             warmup: 6.0,
             confidence: 0.99,
@@ -102,18 +97,10 @@ impl ScalabilityConfig {
         }
     }
 
-    /// Same case on the sharded runtime.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The per-tenant stream mix: one probabilistic (2 Mbps at
     /// p = 0.9), one violation-bound (1.5 Mbps, ≤ 30 expected
-    /// misses/window), two best-effort (0.5 Mbps each) — four streams
-    /// so a 4-shard data plane is a real partition. Guaranteed demand
-    /// (3.5 Mbps) is tiny against generated edge capacities
+    /// misses/window), two best-effort (0.5 Mbps each). Guaranteed
+    /// demand (3.5 Mbps) is tiny against generated edge capacities
     /// (≥ 200 Mbps), so conformance is about adaptation, not admission.
     pub fn tenant_streams() -> Vec<StreamSpec> {
         vec![
@@ -152,7 +139,7 @@ pub struct CompiledTenant {
 }
 
 /// The fully compiled scenario: graph + per-tenant paths/faults, ready
-/// for the unchanged serial/sharded runtime.
+/// for the unchanged runtime.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
     /// The generated overlay.
@@ -371,8 +358,6 @@ pub struct ScalabilityReport {
     pub nodes: usize,
     /// Requested k.
     pub k: usize,
-    /// Shards per tenant runtime.
-    pub shards: usize,
     /// Pinned generator hash of the underlying graph.
     pub graph_hash: u64,
     /// Undirected edge count.
@@ -409,16 +394,14 @@ impl ScalabilityReport {
     }
 
     /// Canonical full rendering — every deterministic field of every
-    /// tenant — used by the equivalence suite to bit-compare serial vs
-    /// sharded executions.
+    /// tenant — used by the repeatability tests to bit-compare runs.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "scalability model={} mode={} nodes={} k={} shards={} graph={:#018x} edges={} routes={}\n",
+            "scalability model={} mode={} nodes={} k={} graph={:#018x} edges={} routes={}\n",
             self.model,
             self.mode,
             self.nodes,
             self.k,
-            self.shards,
             self.graph_hash,
             self.edges,
             self.total_routes,
@@ -450,20 +433,9 @@ impl ScalabilityReport {
     }
 }
 
-/// Runs one scalability case end to end (parallel data-plane workers
-/// when `cfg.shards > 1`).
+/// Runs one scalability case end to end.
 pub fn run_scalability(cfg: ScalabilityConfig) -> ScalabilityReport {
-    run_scalability_with(cfg, ShardExecution::Parallel)
-}
-
-/// [`run_scalability`] with an explicit worker-execution strategy —
-/// the equivalence suite runs the same compiled scenario serially and
-/// in parallel and bit-compares the rendered reports.
-pub fn run_scalability_with(
-    cfg: ScalabilityConfig,
-    execution: ShardExecution,
-) -> ScalabilityReport {
-    run_compiled(cfg, execution, None)
+    run_compiled(cfg, None)
 }
 
 /// Runs one scalability case with an in-memory decision trace attached:
@@ -472,13 +444,12 @@ pub fn run_scalability_with(
 /// golden file pins the whole scenario.
 pub fn run_scalability_traced(cfg: ScalabilityConfig) -> (ScalabilityReport, Vec<TraceEvent>) {
     let mut events = Vec::new();
-    let report = run_compiled(cfg, ShardExecution::Parallel, Some(&mut events));
+    let report = run_compiled(cfg, Some(&mut events));
     (report, events)
 }
 
 fn run_compiled(
     cfg: ScalabilityConfig,
-    execution: ShardExecution,
     mut trace_out: Option<&mut Vec<TraceEvent>>,
 ) -> ScalabilityReport {
     let compiled = compile(&cfg);
@@ -498,7 +469,6 @@ fn run_compiled(
             history_samples: 50,
             seed: salted_seed(cfg.seed, &format!("tenant:{}", ct.tenant)),
             cdf_mode: cfg.mode,
-            shards: cfg.shards.max(1),
             ..RuntimeConfig::default()
         };
         let workload = FramedSource::new(specs.clone(), frames.clone(), 25.0, cfg.duration);
@@ -516,35 +486,17 @@ fn run_compiled(
         } else {
             (None, TraceHandle::null())
         };
-        let report = if rt.shards > 1 {
-            let factory = |specs: Vec<StreamSpec>, n_paths: usize| -> Box<dyn MultipathScheduler> {
-                Box::new(Pgos::new(PgosConfig::default(), specs, n_paths))
-            };
-            run_sharded_with(
-                &ct.paths,
-                Box::new(workload),
-                &factory,
-                rt,
-                cfg.duration,
-                &ct.faults,
-                trace,
-                &mut on_delivery,
-                execution,
-            )
-            .report
-        } else {
-            let scheduler = Pgos::new(PgosConfig::default(), specs.clone(), ct.paths.len());
-            run_traced(
-                &ct.paths,
-                Box::new(workload),
-                Box::new(scheduler),
-                rt,
-                cfg.duration,
-                &ct.faults,
-                trace,
-                &mut on_delivery,
-            )
-        };
+        let scheduler = Pgos::new(PgosConfig::default(), specs.clone(), ct.paths.len());
+        let report = run_traced(
+            &ct.paths,
+            Box::new(workload),
+            Box::new(scheduler),
+            rt,
+            cfg.duration,
+            &ct.faults,
+            trace,
+            &mut on_delivery,
+        );
         if let (Some(sink), Some(out)) = (sink, trace_out.as_deref_mut()) {
             let base = (ct.tenant * STREAMS_PER_TENANT) as u32;
             out.extend(
@@ -592,7 +544,6 @@ fn run_compiled(
         mode: mode_name(cfg.mode),
         nodes: cfg.nodes,
         k: cfg.k,
-        shards: cfg.shards.max(1),
         graph_hash: compiled.graph.graph_hash(),
         edges: compiled.graph.edges.len(),
         total_routes,

@@ -27,10 +27,8 @@ use iqpaths_apps::workload::FramedSource;
 use iqpaths_core::mapping::MappingMode;
 use iqpaths_core::scheduler::{Pgos, PgosConfig};
 use iqpaths_core::stream::{Guarantee, StreamSpec};
-use iqpaths_core::traits::MultipathScheduler;
 use iqpaths_middleware::report::RunReport;
 use iqpaths_middleware::runtime::{run_traced_counted, RuntimeConfig};
-use iqpaths_middleware::sharded::{run_sharded_with, ShardExecution};
 use iqpaths_overlay::node::CdfMode;
 use iqpaths_overlay::planner::{PlannerKind, ProbeBudget};
 use iqpaths_simnet::fault::{Fault, FaultSchedule};
@@ -195,10 +193,6 @@ pub struct ConformanceConfig {
     pub confidence: f64,
     /// Adaptation transient excluded after each capacity change point.
     pub settle_secs: f64,
-    /// Data-plane shards the runtime splits the stream table across
-    /// (1 = the classic serial event loop, byte-identical to releases
-    /// before the controller/data-plane split).
-    pub shards: usize,
     /// Probe planner driving the main monitoring loop
     /// ([`PlannerKind::Periodic`] = the legacy schedule).
     pub planner: PlannerKind,
@@ -213,7 +207,7 @@ pub struct ConformanceConfig {
 
 impl ConformanceConfig {
     /// The standard case: 120 s measured, 20 s warm-up, 99% confidence,
-    /// 10 s settle, serial runtime.
+    /// 10 s settle.
     pub fn new(seed: u64, mode: CdfMode, scenario: FaultScenario) -> Self {
         Self {
             seed,
@@ -223,18 +217,10 @@ impl ConformanceConfig {
             warmup: 20.0,
             confidence: 0.99,
             settle_secs: 10.0,
-            shards: 1,
             planner: PlannerKind::Periodic,
             probe_budget: ProbeBudget::Unlimited,
             mapping: MappingMode::Pgos,
         }
-    }
-
-    /// Same case on the sharded runtime.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Same case under a non-default probe planner and budget.
@@ -287,7 +273,7 @@ pub struct ConformanceReport {
     /// One outcome per guaranteed stream.
     pub outcomes: Vec<LemmaOutcome>,
     /// Per-path main-loop probe spend, published by the runtime's
-    /// probe planner (summed across workers on the sharded runtime).
+    /// probe planner.
     pub probe_counts: Vec<u64>,
     /// Per-stream fraction of offered data delivered before its
     /// deadline — the headline metric of the `diversity` sweep. Coded
@@ -467,20 +453,9 @@ pub fn conformance_streams() -> Vec<StreamSpec> {
     ]
 }
 
-/// Runs one conformance case end to end (parallel workers when
-/// `cfg.shards > 1`).
+/// Runs one conformance case end to end.
 pub fn run_conformance(cfg: ConformanceConfig) -> ConformanceReport {
-    run_case(cfg, TraceHandle::null(), ShardExecution::Parallel)
-}
-
-/// [`run_conformance`] with an explicit worker-execution strategy —
-/// the equivalence suite runs the same plan serially and in parallel
-/// and bit-compares the merged reports.
-pub fn run_conformance_with(
-    cfg: ConformanceConfig,
-    execution: ShardExecution,
-) -> ConformanceReport {
-    run_case(cfg, TraceHandle::null(), execution)
+    run_case(cfg, TraceHandle::null())
 }
 
 /// Runs one conformance case with an in-memory decision trace attached,
@@ -488,26 +463,13 @@ pub fn run_conformance_with(
 /// of the trace-invariant and golden-trace suites: same deterministic
 /// run as [`run_conformance`], plus the evidence to check it against.
 pub fn run_conformance_traced(cfg: ConformanceConfig) -> (ConformanceReport, Vec<TraceEvent>) {
-    run_conformance_traced_with(cfg, ShardExecution::Parallel)
-}
-
-/// [`run_conformance_traced`] with an explicit worker-execution
-/// strategy.
-pub fn run_conformance_traced_with(
-    cfg: ConformanceConfig,
-    execution: ShardExecution,
-) -> (ConformanceReport, Vec<TraceEvent>) {
     let (sink, trace) = shared(InMemorySink::unbounded());
-    let report = run_case(cfg, trace, execution);
+    let report = run_case(cfg, trace);
     let events = sink.borrow().events();
     (report, events)
 }
 
-fn run_case(
-    cfg: ConformanceConfig,
-    trace: TraceHandle,
-    execution: ShardExecution,
-) -> ConformanceReport {
+fn run_case(cfg: ConformanceConfig, trace: TraceHandle) -> ConformanceReport {
     let horizon = cfg.warmup + cfg.duration + 10.0;
     let gen = TopologyGen {
         seed: cfg.seed,
@@ -526,7 +488,6 @@ fn run_case(
         history_samples: 100,
         seed: cfg.seed,
         cdf_mode: cfg.mode,
-        shards: cfg.shards.max(1),
         planner: cfg.planner,
         probe_budget: cfg.probe_budget,
         ..RuntimeConfig::default()
@@ -534,8 +495,6 @@ fn run_case(
     let faults = cfg.scenario.schedule(cfg.warmup, cfg.warmup + cfg.duration);
 
     // Per-stream, per-window deadline-miss attribution via the sink.
-    // Shard merge replays deliveries in virtual-time order, so the
-    // attribution is identical whichever runtime produced them.
     let n_windows = (cfg.duration / rt.monitor_window_secs).ceil() as usize;
     let mut misses = vec![vec![0.0f64; n_windows]; specs.len()];
     let mut on_delivery = |d: &iqpaths_middleware::DeliveryEvent| {
@@ -548,35 +507,17 @@ fn run_case(
         mapping_mode: cfg.mapping,
         ..PgosConfig::default()
     };
-    let (report, probe_counts) = if rt.shards > 1 {
-        let factory = |specs: Vec<StreamSpec>, n_paths: usize| -> Box<dyn MultipathScheduler> {
-            Box::new(Pgos::new(pgos_cfg, specs, n_paths))
-        };
-        let outcome = run_sharded_with(
-            &paths,
-            Box::new(workload),
-            &factory,
-            rt,
-            cfg.duration,
-            &faults,
-            trace,
-            &mut on_delivery,
-            execution,
-        );
-        (outcome.report, outcome.probe_counts)
-    } else {
-        let scheduler = Pgos::new(pgos_cfg, specs.clone(), paths.len());
-        run_traced_counted(
-            &paths,
-            Box::new(workload),
-            Box::new(scheduler),
-            rt,
-            cfg.duration,
-            &faults,
-            trace,
-            &mut on_delivery,
-        )
-    };
+    let scheduler = Pgos::new(pgos_cfg, specs.clone(), paths.len());
+    let (report, probe_counts) = run_traced_counted(
+        &paths,
+        Box::new(workload),
+        Box::new(scheduler),
+        rt,
+        cfg.duration,
+        &faults,
+        trace,
+        &mut on_delivery,
+    );
 
     let changes = faults.capacity_change_times();
     let eligible_windows = eligible_windows(

@@ -584,9 +584,9 @@ impl TraceEvent {
     }
 
     /// Returns the event with its stream index rewritten through `f`
-    /// (identity on events that carry no stream). Sharded runtimes
-    /// trace against shard-local stream indices and remap to global
-    /// indices at merge time.
+    /// (identity on events that carry no stream). The many-tenant
+    /// testkit traces each tenant against its local stream indices and
+    /// remaps to global indices when it concatenates the traces.
     #[must_use]
     pub fn map_stream(self, f: impl Fn(u32) -> u32) -> Self {
         let mut ev = self;

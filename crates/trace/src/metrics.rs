@@ -134,19 +134,6 @@ impl StreamCounters {
             && self.dispatched >= self.delivered + self.transit_lost
             && self.dispatched <= self.enqueued
     }
-
-    /// Adds another stream's counters into this one, fieldwise.
-    /// Addition is commutative and associative, so cross-shard merges
-    /// are independent of merge order.
-    pub fn add(&mut self, other: &StreamCounters) {
-        self.enqueued += other.enqueued;
-        self.queue_dropped += other.queue_dropped;
-        self.dispatched += other.dispatched;
-        self.delivered += other.delivered;
-        self.transit_lost += other.transit_lost;
-        self.deadline_packets += other.deadline_packets;
-        self.deadline_misses += other.deadline_misses;
-    }
 }
 
 /// Per-path service accounting.
@@ -162,18 +149,6 @@ pub struct PathCounters {
     pub bytes: u64,
     /// Blocked-path detections.
     pub blocked_events: u64,
-}
-
-impl PathCounters {
-    /// Adds another path's counters into this one, fieldwise
-    /// (commutative — see [`StreamCounters::add`]).
-    pub fn add(&mut self, other: &PathCounters) {
-        self.dispatched += other.dispatched;
-        self.delivered += other.delivered;
-        self.transit_lost += other.transit_lost;
-        self.bytes += other.bytes;
-        self.blocked_events += other.blocked_events;
-    }
 }
 
 /// The run's metrics snapshot: per-stream and per-path counters plus a
@@ -255,37 +230,6 @@ impl Metrics {
     /// Flow conservation across every stream.
     pub fn conserved(&self) -> bool {
         self.streams.iter().all(StreamCounters::conserved)
-    }
-
-    /// Folds a shard-local metrics snapshot into this global one.
-    ///
-    /// `stream_map[i]` gives the global stream index of the shard's
-    /// local stream `i`; paths are global on every shard and merge
-    /// elementwise. Every per-field operation is a commutative,
-    /// associative sum (histograms merge bucketwise), so the result is
-    /// independent of the order shards are absorbed in.
-    ///
-    /// # Panics
-    /// Panics when `stream_map` disagrees with `other`'s stream count,
-    /// maps outside this snapshot's streams, or path counts differ.
-    pub fn absorb(&mut self, other: &Metrics, stream_map: &[usize]) {
-        assert_eq!(
-            stream_map.len(),
-            other.streams.len(),
-            "stream_map must cover the shard's streams"
-        );
-        assert_eq!(
-            self.paths.len(),
-            other.paths.len(),
-            "shards must see the same global path set"
-        );
-        for (local, &global) in stream_map.iter().enumerate() {
-            self.streams[global].add(&other.streams[local]);
-            self.latency[global].merge(&other.latency[local]);
-        }
-        for (a, b) in self.paths.iter_mut().zip(&other.paths) {
-            a.add(b);
-        }
     }
 
     /// End-to-end latency quantile for one stream, in seconds (`None`
@@ -448,39 +392,6 @@ mod tests {
         assert_eq!(m.paths[2].transit_lost, 1);
         assert_eq!(m.paths[2].blocked_events, 1);
         assert_eq!(m.paths[0].blocked_events, 0);
-    }
-
-    #[test]
-    fn absorb_is_commutative_and_remaps_streams() {
-        let shard = |streams: &[usize]| {
-            // Shard metrics are local-dense: stream k here maps to
-            // streams[k] globally.
-            let mut m = Metrics::new(streams.len(), 2);
-            for (local, &global) in streams.iter().enumerate() {
-                for _ in 0..=global {
-                    m.on_enqueue(local);
-                    m.on_dispatch(local, global % 2, 100);
-                    m.on_deliver(local, global % 2, 1000 * (global as u64 + 1), false, false);
-                }
-            }
-            m
-        };
-        let a = shard(&[0, 2]);
-        let b = shard(&[1]);
-
-        let mut ab = Metrics::new(3, 2);
-        ab.absorb(&a, &[0, 2]);
-        ab.absorb(&b, &[1]);
-        let mut ba = Metrics::new(3, 2);
-        ba.absorb(&b, &[1]);
-        ba.absorb(&a, &[0, 2]);
-
-        assert_eq!(ab, ba, "merge order must not matter");
-        assert!(ab.conserved());
-        assert_eq!(ab.streams[2].delivered, 3);
-        assert_eq!(ab.streams[1].enqueued, 2);
-        assert_eq!(ab.paths[0].delivered + ab.paths[1].delivered, 6);
-        assert_eq!(ab.latency[2].count(), 3);
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! skips external (`http(s)://`, `mailto:`) targets, strips `#anchor`
 //! fragments, resolves the rest relative to the linking file's
 //! directory, and fails listing every dangling target.
+//!
+//! The same goes for file paths cited in prose: every back-ticked
+//! `dir/file.ext` in the living docs ([`PATH_DOCS`]) must exist, so a
+//! deleted or moved source file cannot leave a stale citation behind.
 
 use std::path::{Path, PathBuf};
 
@@ -20,6 +24,49 @@ const DOCS: &[&str] = &[
     "CHANGES.md",
     "docs/POLICIES.md",
 ];
+
+/// The docs whose back-ticked file paths are under the gate. ROADMAP.md
+/// and CHANGES.md are history — they name files that no longer exist on
+/// purpose — and stay link-only.
+const PATH_DOCS: &[&str] = &[
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "docs/POLICIES.md",
+];
+
+/// File extensions that mark a back-ticked token as a repo path.
+const PATH_EXTS: &[&str] = &[".rs", ".md", ".json", ".jsonl", ".toml", ".yml"];
+
+/// Extracts back-ticked repo-relative file paths (`dir/file.ext`) from
+/// `body`: inline code spans that contain a `/` and end in one of
+/// [`PATH_EXTS`]. Build outputs (`target/…`) and patterns (`*`, `<…>`,
+/// `{a,b}`) are not citations of one file and are skipped, as are
+/// fenced code blocks.
+fn path_mentions(body: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut in_fence = false;
+    for line in body.lines() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if in_fence {
+            continue;
+        }
+        // Odd segments of a split on '`' are the inline code spans.
+        for span in line.split('`').skip(1).step_by(2) {
+            let is_path = span.contains('/')
+                && PATH_EXTS.iter().any(|ext| span.ends_with(ext))
+                && !span.starts_with("target/")
+                && !span.contains(['*', '<', '{', ' ']);
+            if is_path {
+                out.push(span.to_string());
+            }
+        }
+    }
+    out
+}
 
 /// Extracts inline markdown link targets (`[text](target)` and images
 /// `![alt](target)`) from `body`. Fenced code blocks are skipped so
@@ -118,6 +165,50 @@ fn link_scanner_handles_the_shapes_we_use() {
             "fig/plot.png",
             "#section",
             "A.md#x",
+        ]
+    );
+}
+
+#[test]
+fn backticked_repo_paths_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    let mut checked = 0usize;
+    for doc in PATH_DOCS {
+        let body = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
+        for path in path_mentions(&body) {
+            checked += 1;
+            if !root.join(&path).exists() {
+                missing.push(format!("{doc}: `{path}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs cite files that do not exist:\n  {}",
+        missing.join("\n  ")
+    );
+    assert!(
+        checked > 0,
+        "no back-ticked paths found across {PATH_DOCS:?} — scanner regression?"
+    );
+}
+
+#[test]
+fn path_scanner_handles_the_shapes_we_use() {
+    let paths = path_mentions(
+        "see `tests/docs_health.rs`, `Cargo.toml` and `runtime::run` but not\n\
+         `tests/golden/*.jsonl`, `target/experiments/x.json`, `a/<b>.md`\n\
+         ```\n`fenced/ignored.rs`\n```\n\
+         or `tests/{a,b}.rs`; two on a line: `docs/POLICIES.md` `.github/workflows/ci.yml`",
+    );
+    assert_eq!(
+        paths,
+        vec![
+            "tests/docs_health.rs",
+            "docs/POLICIES.md",
+            ".github/workflows/ci.yml",
         ]
     );
 }

@@ -16,12 +16,11 @@
 //! `iqpaths_testkit::golden` (shared with the scalability golden
 //! suite); this file only owns the pinned scenarios.
 
-use iqpaths_middleware::ShardExecution;
 use iqpaths_overlay::node::CdfMode;
 use iqpaths_overlay::planner::{PlannerKind, ProbeBudget};
 use iqpaths_testkit::{
     check_golden_trace, decisions_jsonl, run_conformance, run_conformance_traced,
-    run_conformance_traced_with, ConformanceConfig, FaultScenario,
+    ConformanceConfig, FaultScenario,
 };
 
 /// Pinned seed, matching the conformance job.
@@ -60,18 +59,6 @@ fn golden_flap_decision_trace() {
 }
 
 #[test]
-fn golden_sharded_flap_decision_trace() {
-    // The sharded runtime's canonical merge order (stream-remapped,
-    // shard-major concatenation, stable sort by timestamp) makes the
-    // merged trace a pure function of the plan — so it goldens exactly
-    // like a serial trace. Two shards on the 3-stream conformance mix.
-    check_golden_cfg(
-        golden_case(FaultScenario::Flap).with_shards(2),
-        "sharded_flap.jsonl",
-    );
-}
-
-#[test]
 fn golden_probe_budget_flap_decision_trace() {
     // The active planner under a 25% budget: its `probe_plan` /
     // `probe_select` decisions land in the golden alongside the
@@ -107,30 +94,6 @@ fn default_planner_emits_no_planner_events() {
     assert!(!events
         .iter()
         .any(|e| matches!(e.kind(), "probe_plan" | "probe_select")));
-}
-
-#[test]
-fn sharded_golden_is_execution_strategy_independent() {
-    // The golden above is generated with parallel workers; serial
-    // workers over the same plan must serialize byte-identically.
-    let case = golden_case(FaultScenario::Flap).with_shards(2);
-    let (ra, a) = run_conformance_traced_with(case, ShardExecution::Serial);
-    let (rb, b) = run_conformance_traced_with(case, ShardExecution::Parallel);
-    assert_eq!(decisions_jsonl(&a), decisions_jsonl(&b));
-    assert_eq!(ra.report, rb.report);
-}
-
-#[test]
-fn traced_equals_untraced_under_shards() {
-    // Attaching the trace must not perturb a sharded run: workers emit
-    // into private sinks, and the controller's merge is independent of
-    // whether anyone is listening.
-    let case = golden_case(FaultScenario::Blackout).with_shards(2);
-    let untraced = run_conformance(case);
-    let (traced, events) = run_conformance_traced(case);
-    assert!(!events.is_empty());
-    assert_eq!(untraced.report, traced.report);
-    assert_eq!(untraced.eligible_windows, traced.eligible_windows);
 }
 
 #[test]

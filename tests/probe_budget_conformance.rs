@@ -1,8 +1,7 @@
 //! Probe-budget conformance matrix: `{periodic, active} planners ×
-//! {100, 25, 10}% budgets × {flap, blackout, churn} scenarios × {1, 4}
-//! shards`.
+//! {100, 25, 10}% budgets × {flap, blackout, churn} scenarios`.
 //!
-//! Each case asserts three things:
+//! Each case asserts two things:
 //!
 //! * **Verdicts** — the `ActivePlanner` keeps the Lemma 1/2 guarantees
 //!   at every swept budget, and the `PeriodicPlanner` keeps them at the
@@ -13,19 +12,10 @@
 //! * **Spend** — the planner's published probe counts hit the budget's
 //!   pro-rata share to within one probe per path (the Bresenham
 //!   allowance is exact, not approximate).
-//! * **Serial ≡ sharded byte-equality** — on the 4-shard data plane the
-//!   serial and parallel worker-execution strategies must produce
-//!   byte-identical conformance reports. A divergence writes both
-//!   renderings under `target/experiments/probe_budget/` for CI upload
-//!   before failing.
 
-use iqpaths_middleware::ShardExecution;
 use iqpaths_overlay::node::CdfMode;
 use iqpaths_overlay::planner::{PlannerKind, ProbeBudget};
-use iqpaths_testkit::{
-    run_conformance, run_conformance_with, ConformanceConfig, ConformanceReport, FaultScenario,
-};
-use std::path::PathBuf;
+use iqpaths_testkit::{run_conformance, ConformanceConfig, FaultScenario};
 
 /// Pinned seed, matching the conformance job.
 const SEED: u64 = 11;
@@ -49,42 +39,14 @@ fn case(scenario: FaultScenario, planner: PlannerKind, budget_pct: u32) -> Confo
     .with_planner(planner, ProbeBudget::percent(budget_pct))
 }
 
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/target/experiments/probe_budget"
-    ))
-}
-
-/// Byte-compares the serial- and parallel-execution renderings of one
-/// sharded case, dumping both under `target/experiments/probe_budget/`
-/// on divergence.
-fn assert_strategy_byte_equality(label: &str, a: &ConformanceReport, b: &ConformanceReport) {
-    let (sa, sb) = (format!("{:#?}", a.report), format!("{:#?}", b.report));
-    if sa != sb || a.probe_counts != b.probe_counts {
-        let dir = artifact_dir();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(format!("{label}.serial.txt")), &sa).unwrap();
-        std::fs::write(dir.join(format!("{label}.parallel.txt")), &sb).unwrap();
-        panic!(
-            "{label}: serial and parallel worker execution diverged \
-             (renderings dumped under {})",
-            dir.display()
-        );
-    }
-}
-
 fn check_scenario(scenario: FaultScenario) {
     // Budget accounting is judged against the full-rate probe count of
     // the same planner, so the Bresenham share check is exact.
     let mut full_total: Option<u64> = None;
     for (planner, budget_pct) in CONFIGS {
         let label = format!("{}-{}-{budget_pct}", scenario.name(), planner.name());
-        let cfg = case(scenario, planner, budget_pct);
-
-        // Serial (shards = 1) run: verdicts + spend.
-        let serial = run_conformance(cfg);
-        let total: u64 = serial.probe_counts.iter().sum();
+        let report = run_conformance(case(scenario, planner, budget_pct));
+        let total: u64 = report.probe_counts.iter().sum();
         if budget_pct == 100 {
             // Both planners spend the identical full-rate total.
             match full_total {
@@ -102,26 +64,13 @@ fn check_scenario(scenario: FaultScenario) {
 
         let must_pass = planner == PlannerKind::Active || budget_pct == 100;
         if must_pass {
-            for o in &serial.outcomes {
+            for o in &report.outcomes {
                 assert!(
                     o.pass,
                     "{label}: {}/{} failed (observed {:.3}, target {:.3}, ε {:.3})",
                     o.stream, o.kind, o.observed, o.target, o.epsilon
                 );
             }
-        }
-
-        // Sharded (shards = 4) run: strategy byte-equality + verdicts.
-        let sharded = cfg.with_shards(4);
-        let a = run_conformance_with(sharded, ShardExecution::Serial);
-        let b = run_conformance_with(sharded, ShardExecution::Parallel);
-        assert_strategy_byte_equality(&label, &a, &b);
-        if must_pass {
-            assert!(
-                a.all_pass(),
-                "{label}: sharded run failed conformance: {:?}",
-                a.outcomes
-            );
         }
     }
 }

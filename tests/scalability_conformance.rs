@@ -1,28 +1,20 @@
 //! Graph-scale many-tenant conformance matrix.
 //!
-//! {64, 256} nodes × {8, 64} tenants, each at shards {1, 4}: every
-//! tenant — routed over Yen's k cheapest loopless paths of a seeded
-//! Waxman overlay, under shared-bottleneck contention, a flash-crowd
-//! wave and relay churn — must pass its Lemma 1/2 checks, and the
-//! 4-shard data plane must reproduce the serial execution strategy's
-//! report byte-for-byte ([`ScalabilityReport::render`] is the compare
+//! {64, 256} nodes × {8, 64} tenants: every tenant — routed over Yen's
+//! k cheapest loopless paths of a seeded Waxman overlay, under
+//! shared-bottleneck contention, a flash-crowd wave and relay churn —
+//! must pass its Lemma 1/2 checks, and two identical runs must render
+//! byte-identically ([`ScalabilityReport::render`] is the compare
 //! surface).
-//!
-//! On divergence the suite writes both sides' rendered reports under
-//! `target/experiments/scalability/` (CI uploads them as artifacts)
-//! before panicking.
 
-use iqpaths_middleware::ShardExecution;
-use iqpaths_testkit::{run_scalability_with, GraphModel, ScalabilityConfig, ScalabilityReport};
-use std::fs;
-use std::path::PathBuf;
+use iqpaths_testkit::{run_scalability, GraphModel, ScalabilityConfig, ScalabilityReport};
 
 /// Pinned seed for the whole matrix.
 const SEED: u64 = 2024;
 
 /// One matrix cell's config: the shortest duration the wave/churn
 /// script allows, so the full matrix stays CI-sized.
-fn cfg(nodes: usize, tenants: usize, shards: usize) -> ScalabilityConfig {
+fn cfg(nodes: usize, tenants: usize) -> ScalabilityConfig {
     ScalabilityConfig {
         duration: 12.0,
         warmup: 3.0,
@@ -34,29 +26,7 @@ fn cfg(nodes: usize, tenants: usize, shards: usize) -> ScalabilityConfig {
             tenants,
             2,
         )
-        .with_shards(shards)
     }
-}
-
-fn artifact_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/experiments/scalability")
-}
-
-/// Writes both sides of a divergence as readable artifacts and panics
-/// with their locations.
-fn divergence(cell: &str, left_label: &str, left: &str, right_label: &str, right: &str) -> ! {
-    let dir = artifact_dir();
-    fs::create_dir_all(&dir).unwrap();
-    let lp = dir.join(format!("{cell}.{left_label}.txt"));
-    let rp = dir.join(format!("{cell}.{right_label}.txt"));
-    fs::write(&lp, left).unwrap();
-    fs::write(&rp, right).unwrap();
-    panic!(
-        "{cell}: {left_label} and {right_label} diverged; \
-         divergence artifacts at {} and {}",
-        lp.display(),
-        rp.display()
-    );
 }
 
 fn assert_every_tenant_conforms(cell: &str, r: &ScalabilityReport, tenants: usize) {
@@ -80,37 +50,11 @@ fn assert_every_tenant_conforms(cell: &str, r: &ScalabilityReport, tenants: usiz
     );
 }
 
-/// Runs one (nodes, tenants) cell across the shard axis.
+/// Runs one (nodes, tenants) cell.
 fn assert_cell(nodes: usize, tenants: usize) {
     let cell = format!("waxman_{nodes}n_{tenants}t");
-
-    // Serial data plane: the reference.
-    let serial = run_scalability_with(cfg(nodes, tenants, 1), ShardExecution::Parallel);
-    assert_every_tenant_conforms(&format!("{cell}_sh1"), &serial, tenants);
-
-    // 4-shard data plane, both worker-execution strategies: the merged
-    // outcome may not depend on thread scheduling…
-    let sh4_serial = run_scalability_with(cfg(nodes, tenants, 4), ShardExecution::Serial);
-    let sh4_parallel = run_scalability_with(cfg(nodes, tenants, 4), ShardExecution::Parallel);
-    if sh4_serial.render() != sh4_parallel.render() {
-        divergence(
-            &format!("{cell}_sh4"),
-            "serial-exec",
-            &sh4_serial.render(),
-            "parallel-exec",
-            &sh4_parallel.render(),
-        );
-    }
-    assert_every_tenant_conforms(&format!("{cell}_sh4"), &sh4_parallel, tenants);
-
-    // …and sharding never changes the compiled experiment: same graph,
-    // same routes, same offered load per tenant.
-    assert_eq!(serial.graph_hash, sh4_parallel.graph_hash, "{cell}");
-    assert_eq!(serial.edges, sh4_parallel.edges, "{cell}");
-    assert_eq!(serial.total_routes, sh4_parallel.total_routes, "{cell}");
-    for (a, b) in serial.tenants.iter().zip(&sh4_parallel.tenants) {
-        assert_eq!((a.src, a.dst, a.routes), (b.src, b.dst, b.routes), "{cell}");
-    }
+    let report = run_scalability(cfg(nodes, tenants));
+    assert_every_tenant_conforms(&cell, &report, tenants);
 }
 
 #[test]
@@ -134,10 +78,10 @@ fn waxman_256_nodes_64_tenants() {
 }
 
 #[test]
-fn sharded_runs_are_repeatable() {
-    // Two identical 4-shard runs serialize byte-identically — the
-    // precondition for the golden scalability trace to be meaningful.
-    let a = run_scalability_with(cfg(64, 8, 4), ShardExecution::Parallel);
-    let b = run_scalability_with(cfg(64, 8, 4), ShardExecution::Parallel);
+fn runs_are_repeatable() {
+    // Two identical runs serialize byte-identically — the precondition
+    // for the golden scalability trace to be meaningful.
+    let a = run_scalability(cfg(64, 8));
+    let b = run_scalability(cfg(64, 8));
     assert_eq!(a.render(), b.render());
 }
