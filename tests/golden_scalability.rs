@@ -14,10 +14,16 @@
 //! wiring models at both matrix scales: a drifting hash means the
 //! random-graph family silently changed under every consumer — the
 //! sweep tables, the conformance matrix and this golden file.
+//!
+//! The route-pinning test hashes every tenant's Yen routes at the
+//! 256-node / 64-tenant scale the benchmark compiles, where the golden
+//! trace's 64-node case is too small to exercise the deep spur searches
+//! and cost ties of a dense graph.
 
+use iqpaths_simnet::fault::fnv1a64;
 use iqpaths_testkit::{
-    check_golden_trace, run_scalability_traced, GraphGen, GraphModel, ScalabilityConfig,
-    STREAMS_PER_TENANT,
+    check_golden_trace, compile_scalability, run_scalability_traced, GraphGen, GraphModel,
+    ScalabilityConfig, STREAMS_PER_TENANT,
 };
 
 /// Pinned seed, matching the conformance matrix.
@@ -89,5 +95,34 @@ fn generator_hashes_are_pinned() {
             g.graph_hash()
         );
         assert_eq!(g.edges.len(), edges, "{model}/{nodes}n edge count drifted");
+    }
+}
+
+#[test]
+fn tenant_routes_are_pinned() {
+    // Frozen: every tenant's (src, dst) and its k routes in Yen order,
+    // rendered one tenant per line and FNV-1a hashed. A drift means
+    // path enumeration (cost, tie-break or candidate order) changed
+    // under every scalability table, golden trace and ledger row.
+    for (seed, model, hash) in [
+        (42u64, "waxman", 0x32d3_6bc2_d328_61ca_u64),
+        (SEED, "ba", 0x59f6_89cb_e715_f311),
+    ] {
+        let cfg = ScalabilityConfig::new(seed, GraphModel::by_name(model).unwrap(), 256, 64, 4);
+        let mut canon = String::new();
+        for t in compile_scalability(&cfg).tenants {
+            canon.push_str(&format!("{} {}->{}:", t.tenant, t.src, t.dst));
+            for route in &t.routes {
+                let ids: Vec<String> = route.iter().map(|n| n.0.to_string()).collect();
+                canon.push_str(&format!(" {}", ids.join(",")));
+            }
+            canon.push('\n');
+        }
+        assert_eq!(
+            fnv1a64(canon.as_bytes()),
+            hash,
+            "{model}/seed {seed} routes drifted (got {:#018x})",
+            fnv1a64(canon.as_bytes())
+        );
     }
 }
