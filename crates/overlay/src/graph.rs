@@ -14,13 +14,25 @@
 //! and lets the scheduler's per-path CDFs arbitrate the sharing, which
 //! is what the graph-scale scenario family exercises.
 //!
+//! Every path query runs one array Dijkstra: `dist` / `parent` /
+//! `settled` arrays indexed by node id, a `(cost, node)` heap, and
+//! banned nodes and edges as flag arrays. Yen's spur searches and the
+//! greedy disjoint loop reuse one such scratch per query, so a query
+//! allocates its arrays once however many searches it runs.
+//!
 //! Determinism contract: every routine on this graph is a pure function
-//! of the insertion-ordered node/edge set. Shortest paths break cost
-//! ties by the lexicographically smallest node sequence, and Yen's
-//! candidate pool is ordered by `(cost, node sequence)`, so enumeration
-//! order is reproducible across runs, platforms and thread counts.
+//! of the node/edge set. Shortest paths break cost ties by the
+//! lexicographically smallest node sequence, and Yen's candidate pool
+//! is ordered by `(cost, node sequence)`, so enumeration order is
+//! reproducible across runs, platforms and thread counts. The tie-break
+//! is exact: when `v` is reached from `u` at its current distance, `u`
+//! becomes its parent only if `path(u) + [v]` is lexicographically
+//! smaller than `path(parent[v]) + [v]`. Weights are positive, so every
+//! optimal predecessor of `v` settles before `v` does, and the parent
+//! tree holds the smallest min-cost sequence to every settled node.
 
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 /// An overlay node handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,11 +43,13 @@ pub struct OverlayNodeId(pub usize);
 pub struct OverlayGraph {
     names: Vec<String>,
     by_name: HashMap<String, OverlayNodeId>,
-    /// Adjacency: sorted for determinism.
+    /// Out-neighbors per node, sorted by id for determinism.
     edges: Vec<Vec<OverlayNodeId>>,
-    /// Edge cost (≥ 1); edges added without an explicit weight cost 1,
-    /// which makes path cost equal hop count on unweighted graphs.
-    weights: HashMap<(OverlayNodeId, OverlayNodeId), u64>,
+    /// Edge costs (≥ 1) parallel to `edges`: `weights[u][i]` is the
+    /// cost of `u → edges[u][i]`. Edges added without an explicit
+    /// weight cost 1, which makes path cost equal hop count on
+    /// unweighted graphs.
+    weights: Vec<Vec<u64>>,
 }
 
 impl OverlayGraph {
@@ -53,6 +67,7 @@ impl OverlayGraph {
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), id);
         self.edges.push(Vec::new());
+        self.weights.push(Vec::new());
         id
     }
 
@@ -79,7 +94,9 @@ impl OverlayGraph {
     /// Adds a directed logical link of cost 1 (idempotent; an existing
     /// edge keeps its weight).
     pub fn add_edge(&mut self, from: OverlayNodeId, to: OverlayNodeId) {
-        self.add_edge_weighted(from, to, 1);
+        if self.edge_weight(from, to).is_none() {
+            self.add_edge_weighted(from, to, 1);
+        }
     }
 
     /// Adds a directed logical link of cost `weight`. Re-adding an
@@ -91,16 +108,19 @@ impl OverlayGraph {
     pub fn add_edge_weighted(&mut self, from: OverlayNodeId, to: OverlayNodeId, weight: u64) {
         assert!(weight > 0, "edge weights must be strictly positive");
         assert_ne!(from, to, "self-loops are not representable paths");
-        if !self.edges[from.0].contains(&to) {
-            self.edges[from.0].push(to);
-            self.edges[from.0].sort();
+        match self.edges[from.0].binary_search(&to) {
+            Ok(i) => self.weights[from.0][i] = weight,
+            Err(i) => {
+                self.edges[from.0].insert(i, to);
+                self.weights[from.0].insert(i, weight);
+            }
         }
-        self.weights.insert((from, to), weight);
     }
 
     /// Cost of the edge `from → to`, if present.
     pub fn edge_weight(&self, from: OverlayNodeId, to: OverlayNodeId) -> Option<u64> {
-        self.weights.get(&(from, to)).copied()
+        let i = self.edges[from.0].binary_search(&to).ok()?;
+        Some(self.weights[from.0][i])
     }
 
     /// Out-neighbors.
@@ -115,49 +135,6 @@ impl OverlayGraph {
             .sum::<Option<u64>>()
     }
 
-    /// Deterministic Dijkstra from `src` to `dst` avoiding
-    /// `banned_edges` and `banned_nodes`: returns the minimum-cost path
-    /// and, among equal-cost paths, the lexicographically smallest node
-    /// sequence. Heap entries carry their full path so the tie-break is
-    /// exact, not heuristic — fine at overlay scale (≤ a few thousand
-    /// nodes), where path lengths stay small.
-    fn constrained_shortest(
-        &self,
-        src: OverlayNodeId,
-        dst: OverlayNodeId,
-        banned_edges: &HashSet<(OverlayNodeId, OverlayNodeId)>,
-        banned_nodes: &HashSet<OverlayNodeId>,
-    ) -> Option<(u64, Vec<OverlayNodeId>)> {
-        if banned_nodes.contains(&src) || banned_nodes.contains(&dst) {
-            return None;
-        }
-        let mut visited: HashSet<OverlayNodeId> = HashSet::new();
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, Vec<OverlayNodeId>)>> = BinaryHeap::new();
-        heap.push(std::cmp::Reverse((0, vec![src])));
-        while let Some(std::cmp::Reverse((cost, path))) = heap.pop() {
-            let u = *path.last().expect("heap paths are non-empty");
-            if u == dst {
-                return Some((cost, path));
-            }
-            if !visited.insert(u) {
-                continue;
-            }
-            for &v in self.neighbors(u) {
-                if visited.contains(&v)
-                    || banned_nodes.contains(&v)
-                    || banned_edges.contains(&(u, v))
-                {
-                    continue;
-                }
-                let w = self.weights[&(u, v)];
-                let mut next = path.clone();
-                next.push(v);
-                heap.push(std::cmp::Reverse((cost + w, next)));
-            }
-        }
-        None
-    }
-
     /// Cheapest path from `src` to `dst` (ties broken by the smallest
     /// node sequence), or `None` when unreachable. On unweighted graphs
     /// this is the fewest-hops path.
@@ -166,8 +143,7 @@ impl OverlayGraph {
         src: OverlayNodeId,
         dst: OverlayNodeId,
     ) -> Option<Vec<OverlayNodeId>> {
-        self.constrained_shortest(src, dst, &HashSet::new(), &HashSet::new())
-            .map(|(_, p)| p)
+        Search::new(self).run(src, dst).map(|(_, p)| p)
     }
 
     /// Yen's loopless k-shortest-paths: the up-to-`k` cheapest *simple*
@@ -176,6 +152,11 @@ impl OverlayGraph {
     /// [`OverlayGraph::shortest_path`]. Returned paths may share links —
     /// use [`OverlayGraph::disjoint_paths`] when the no-shared-
     /// bottleneck placement assumption must hold structurally.
+    ///
+    /// Each round spurs off the last chosen path at every node: the
+    /// root before the spur node is banned (paths stay simple), as is
+    /// the next edge of every chosen path sharing that root (deviations
+    /// are new), and one reused search finds the cheapest tail.
     pub fn k_shortest_paths(
         &self,
         src: OverlayNodeId,
@@ -185,53 +166,43 @@ impl OverlayGraph {
         if k == 0 {
             return Vec::new();
         }
-        let Some((_, first)) =
-            self.constrained_shortest(src, dst, &HashSet::new(), &HashSet::new())
-        else {
+        let mut search = Search::new(self);
+        let Some((_, first)) = search.run(src, dst) else {
             return Vec::new();
         };
         let mut chosen: Vec<Vec<OverlayNodeId>> = vec![first];
         // Candidate deviations, ordered by (cost, node sequence) so
-        // pop-first is the deterministic global minimum.
+        // pop-first is the deterministic global minimum. The edge bans
+        // keep every chosen path out of a spur search, so a candidate
+        // is never a path already chosen.
         let mut candidates: BTreeSet<(u64, Vec<OverlayNodeId>)> = BTreeSet::new();
         while chosen.len() < k {
-            let prev = chosen.last().expect("chosen is non-empty").clone();
+            let prev = &chosen[chosen.len() - 1];
+            // Bans only accumulate while spurring off one path: each
+            // spur node joins the banned root of the next spur, which
+            // also makes the edges banned out of it unreachable.
+            search.clear_bans();
             for j in 0..prev.len() - 1 {
-                let spur = prev[j];
+                if j > 0 {
+                    search.ban_node(prev[j - 1]);
+                }
                 let root = &prev[..=j];
-                // Ban the next edge of every already-chosen path that
-                // shares this root, so the spur search can only produce
-                // new deviations.
-                let mut banned_edges: HashSet<(OverlayNodeId, OverlayNodeId)> = HashSet::new();
                 for p in &chosen {
                     if p.len() > j + 1 && p[..=j] == *root {
-                        banned_edges.insert((p[j], p[j + 1]));
+                        search.ban_edge(p[j], p[j + 1]);
                     }
                 }
-                // Ban the root's interior nodes to keep paths simple.
-                let banned_nodes: HashSet<OverlayNodeId> = root[..j].iter().copied().collect();
-                if let Some((_, tail)) =
-                    self.constrained_shortest(spur, dst, &banned_edges, &banned_nodes)
-                {
+                if let Some((_, tail)) = search.run(prev[j], dst) {
                     let mut cand = root[..j].to_vec();
                     cand.extend(tail);
                     let cost = self
                         .path_cost(&cand)
                         .expect("deviation paths walk existing edges");
-                    if !chosen.contains(&cand) {
-                        candidates.insert((cost, cand));
-                    }
+                    candidates.insert((cost, cand));
                 }
             }
-            // Pop the cheapest unused candidate.
-            let next = loop {
-                let Some(entry) = candidates.iter().next().cloned() else {
-                    return chosen;
-                };
-                candidates.remove(&entry);
-                if !chosen.contains(&entry.1) {
-                    break entry.1;
-                }
+            let Some((_, next)) = candidates.pop_first() else {
+                break;
             };
             chosen.push(next);
         }
@@ -239,29 +210,32 @@ impl OverlayGraph {
     }
 
     /// Enumerates up to `k` link-disjoint paths from `src` to `dst`
-    /// (greedy: repeatedly take the cheapest path and remove its
-    /// edges). This is the conservative baseline behind the paper's
-    /// no-shared-bottleneck assumption; each returned path costs at
-    /// least as much as the corresponding entry of
-    /// [`OverlayGraph::k_shortest_paths`].
+    /// (greedy: repeatedly take the cheapest path and ban its edges in
+    /// one reused search). This is the conservative baseline behind the
+    /// paper's no-shared-bottleneck assumption; each returned path
+    /// costs at least as much as the corresponding entry of
+    /// [`OverlayGraph::k_shortest_paths`]. For `src == dst` the trivial
+    /// path `[src]` is returned once.
     pub fn disjoint_paths(
         &self,
         src: OverlayNodeId,
         dst: OverlayNodeId,
         k: usize,
     ) -> Vec<Vec<OverlayNodeId>> {
-        let mut banned = HashSet::new();
-        let empty_nodes = HashSet::new();
+        let mut search = Search::new(self);
         let mut out = Vec::new();
-        for _ in 0..k {
-            match self.constrained_shortest(src, dst, &banned, &empty_nodes) {
-                None => break,
-                Some((_, p)) => {
-                    for w in p.windows(2) {
-                        banned.insert((w[0], w[1]));
-                    }
-                    out.push(p);
-                }
+        while out.len() < k {
+            let Some((_, p)) = search.run(src, dst) else {
+                break;
+            };
+            for w in p.windows(2) {
+                search.ban_edge(w[0], w[1]);
+            }
+            // The trivial path bans no edge and would repeat forever.
+            let trivial = p.len() == 1;
+            out.push(p);
+            if trivial {
+                break;
             }
         }
         out
@@ -271,6 +245,130 @@ impl OverlayGraph {
     pub fn names_of(&self, path: &[OverlayNodeId]) -> Vec<&str> {
         path.iter().map(|&n| self.name(n)).collect()
     }
+}
+
+/// Parent of the search root and of every node not yet reached.
+const NO_PARENT: usize = usize::MAX;
+
+/// Scratch of the array Dijkstra over one graph, reused across the
+/// searches of one path query; only the source and the bans change
+/// between them.
+struct Search<'g> {
+    graph: &'g OverlayGraph,
+    dist: Vec<u64>,
+    parent: Vec<usize>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    banned_nodes: Vec<bool>,
+    /// The flag of edge `u → edges[u][i]` sits at `edge_base[u] + i`.
+    banned_edges: Vec<bool>,
+    edge_base: Vec<usize>,
+    /// The two tree paths compared by a cost tie.
+    lhs: Vec<usize>,
+    rhs: Vec<usize>,
+}
+
+impl<'g> Search<'g> {
+    fn new(graph: &'g OverlayGraph) -> Self {
+        let n = graph.node_count();
+        let mut edge_base = Vec::with_capacity(n);
+        let mut edges = 0;
+        for out in &graph.edges {
+            edge_base.push(edges);
+            edges += out.len();
+        }
+        Self {
+            graph,
+            dist: vec![u64::MAX; n],
+            parent: vec![NO_PARENT; n],
+            settled: vec![false; n],
+            heap: BinaryHeap::new(),
+            banned_nodes: vec![false; n],
+            banned_edges: vec![false; edges],
+            edge_base,
+            lhs: Vec::new(),
+            rhs: Vec::new(),
+        }
+    }
+
+    fn ban_node(&mut self, node: OverlayNodeId) {
+        self.banned_nodes[node.0] = true;
+    }
+
+    fn ban_edge(&mut self, from: OverlayNodeId, to: OverlayNodeId) {
+        let i = self.graph.edges[from.0]
+            .binary_search(&to)
+            .expect("banned edges exist");
+        self.banned_edges[self.edge_base[from.0] + i] = true;
+    }
+
+    fn clear_bans(&mut self) {
+        self.banned_nodes.fill(false);
+        self.banned_edges.fill(false);
+    }
+
+    /// The cheapest `src → dst` path avoiding the bans and, among
+    /// equal-cost paths, the lexicographically smallest node sequence,
+    /// with its cost; `None` when unreachable.
+    fn run(&mut self, src: OverlayNodeId, dst: OverlayNodeId) -> Option<(u64, Vec<OverlayNodeId>)> {
+        if self.banned_nodes[src.0] || self.banned_nodes[dst.0] {
+            return None;
+        }
+        self.dist.fill(u64::MAX);
+        self.parent.fill(NO_PARENT);
+        self.settled.fill(false);
+        self.heap.clear();
+        self.dist[src.0] = 0;
+        self.heap.push(Reverse((0, src.0)));
+        let g = self.graph;
+        while let Some(Reverse((cost, u))) = self.heap.pop() {
+            if self.settled[u] {
+                continue;
+            }
+            self.settled[u] = true;
+            if u == dst.0 {
+                tree_path(&self.parent, u, &mut self.lhs);
+                return Some((cost, self.lhs.iter().map(|&n| OverlayNodeId(n)).collect()));
+            }
+            let base = self.edge_base[u];
+            for (i, (&v, &w)) in g.edges[u].iter().zip(&g.weights[u]).enumerate() {
+                let v = v.0;
+                if self.settled[v] || self.banned_nodes[v] || self.banned_edges[base + i] {
+                    continue;
+                }
+                let d = cost + w;
+                if d < self.dist[v] {
+                    self.dist[v] = d;
+                    self.parent[v] = u;
+                    self.heap.push(Reverse((d, v)));
+                } else if d == self.dist[v] && self.extends_smaller(u, v) {
+                    self.parent[v] = u;
+                }
+            }
+        }
+        None
+    }
+
+    /// Whether `path(u) + [v]` is lexicographically smaller than
+    /// `path(parent[v]) + [v]`. `v` is appended before comparing: when
+    /// one tree path is a prefix of the other the shorter is not always
+    /// smaller — `[a, c]` loses to `[a, b, c]` when `b < c`.
+    fn extends_smaller(&mut self, u: usize, v: usize) -> bool {
+        tree_path(&self.parent, u, &mut self.lhs);
+        tree_path(&self.parent, self.parent[v], &mut self.rhs);
+        self.lhs.iter().chain([&v]).lt(self.rhs.iter().chain([&v]))
+    }
+}
+
+/// Writes the search-tree path from the root to `to` into `out`.
+fn tree_path(parent: &[usize], to: usize, out: &mut Vec<usize>) {
+    out.clear();
+    let mut at = to;
+    while at != NO_PARENT {
+        out.push(at);
+        at = parent[at];
+    }
+    out.reverse();
 }
 
 /// Builds the overlay view of the Figure 8 testbed: server N-1, routers
@@ -326,6 +424,17 @@ mod tests {
     }
 
     #[test]
+    fn trivial_path_is_returned_once() {
+        // src == dst: the one-node path is the only simple path, and it
+        // bans no edge, so the greedy loop must not repeat it k times.
+        let (g, s, _) = figure8_overlay();
+        assert_eq!(g.disjoint_paths(s, s, 3), vec![vec![s]]);
+        assert_eq!(g.k_shortest_paths(s, s, 3), vec![vec![s]]);
+        assert_eq!(g.shortest_path(s, s), Some(vec![s]));
+        assert!(g.disjoint_paths(s, s, 0).is_empty());
+    }
+
+    #[test]
     fn shortest_path_prefers_fewest_hops() {
         let mut g = OverlayGraph::new();
         let a = g.node("a");
@@ -362,6 +471,27 @@ mod tests {
     }
 
     #[test]
+    fn edge_weights_follow_their_edges() {
+        // Out-of-order inserts keep neighbors sorted and each weight on
+        // its own edge; add_edge keeps an existing weight, and
+        // add_edge_weighted overwrites it.
+        let mut g = OverlayGraph::new();
+        let n: Vec<_> = (0..4).map(|i| g.node(&format!("v{i}"))).collect();
+        g.add_edge_weighted(n[0], n[3], 7);
+        g.add_edge_weighted(n[0], n[1], 2);
+        g.add_edge_weighted(n[0], n[2], 5);
+        assert_eq!(g.neighbors(n[0]), &[n[1], n[2], n[3]]);
+        let weights: Vec<_> = (1..4).map(|i| g.edge_weight(n[0], n[i])).collect();
+        assert_eq!(weights, vec![Some(2), Some(5), Some(7)]);
+        g.add_edge(n[0], n[3]);
+        assert_eq!(g.edge_weight(n[0], n[3]), Some(7));
+        g.add_edge_weighted(n[0], n[3], 1);
+        assert_eq!(g.edge_weight(n[0], n[3]), Some(1));
+        assert_eq!(g.edge_weight(n[3], n[0]), None);
+        assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
     fn weights_change_the_cheapest_path() {
         // a→b→c costs 2, the direct a→c edge costs 5: Dijkstra must
         // take the two-hop route, unlike the unweighted case.
@@ -394,6 +524,21 @@ mod tests {
         assert_eq!(g.shortest_path(a, d), Some(vec![a, b, d]));
         let k = g.k_shortest_paths(a, d, 3);
         assert_eq!(k, vec![vec![a, b, d], vec![a, c, d]]);
+
+        // The prefix trap: a→b→c (1 + 1) ties the direct a→c (2). The
+        // predecessor path [a] is a prefix of [a, b], yet [a, b, c]
+        // precedes [a, c] because b < c — the tie must compare the
+        // paths *with* c appended.
+        let mut g = OverlayGraph::new();
+        let a = g.node("a");
+        let b = g.node("b");
+        let c = g.node("c");
+        g.add_edge_weighted(a, c, 2);
+        g.add_edge(a, b);
+        g.add_edge(b, c);
+        assert_eq!(g.shortest_path(a, c), Some(vec![a, b, c]));
+        let k = g.k_shortest_paths(a, c, 2);
+        assert_eq!(k, vec![vec![a, b, c], vec![a, c]]);
     }
 
     #[test]
