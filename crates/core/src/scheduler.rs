@@ -98,6 +98,14 @@ struct FallbackIndex {
     sched_remaining: Vec<u32>,
     /// `!window_constraint(tw).ratio().to_bits()` per stream.
     cons_key: Vec<u64>,
+    /// Per path: uncoded streams with cursor budget left on it and a
+    /// non-empty queue — the O(1) half of the rule-1 gate (coded
+    /// streams are checked directly, see [`Pgos::rule1_pick`]).
+    eligible: Vec<u32>,
+    /// Per stream: whether it is counted in `eligible` (uncoded and
+    /// backlogged at its last touch). Makes touches idempotent, since
+    /// the wake journal may list a stream twice.
+    counted: Vec<bool>,
     wheel: Heap4<u64>,
     behind: Heap4<(u64, u64, u32)>,
     unsched: Heap4<(u64, u32)>,
@@ -148,6 +156,11 @@ pub struct Pgos {
     /// the block→path placement that makes ≥k-of-n survive a path
     /// failure).
     coding_plans: Vec<Option<StreamCoding>>,
+    /// Per path: the coded streams holding budget on it, built once by
+    /// `plan_coding` (plans are fixed for the run). Rule 1's gate
+    /// checks these directly because lane transitions are not
+    /// journaled.
+    coded_on_path: Vec<Vec<usize>>,
     /// Debug-only scratch for the scan-based fallback cross-check.
     #[cfg(debug_assertions)]
     debug_candidates: Vec<crate::precedence::Candidate>,
@@ -189,6 +202,7 @@ impl Pgos {
             affinity_scratch: Vec::new(),
             feasible_scratch: Vec::new(),
             coding_plans: Vec::new(),
+            coded_on_path: Vec::new(),
             #[cfg(debug_assertions)]
             debug_candidates: Vec::new(),
         }
@@ -511,13 +525,14 @@ impl Pgos {
     /// stream classified behind-schedule stays behind until served.
     fn index_touch(&mut self, stream: usize, now_ns: u64, backlogged: bool) {
         self.fp.stamp[stream] += 1;
-        if !backlogged {
-            return;
-        }
         // Coded streams never enter the fallback: their blocks are
         // lane-pinned (rule 1 only), so filing them would let rules
         // 2/3 scramble the block→path placement.
         if self.is_coded(stream) {
+            return;
+        }
+        self.count_eligible(stream, backlogged);
+        if !backlogged {
             return;
         }
         let stamp = self.fp.stamp[stream];
@@ -540,6 +555,38 @@ impl Pgos {
         }
     }
 
+    /// Moves uncoded `stream` into (`backlogged`) or out of the rule-1
+    /// `eligible` count of every path it holds budget on. A stream with
+    /// no budget left anywhere touches no path.
+    fn count_eligible(&mut self, stream: usize, backlogged: bool) {
+        if self.fp.counted[stream] == backlogged {
+            return;
+        }
+        self.fp.counted[stream] = backlogged;
+        if self.fp.sched_remaining[stream] == 0 {
+            return;
+        }
+        for (j, cursor) in self.cursors.iter().enumerate() {
+            if cursor.remaining(stream) > 0 {
+                if backlogged {
+                    self.fp.eligible[j] += 1;
+                } else {
+                    self.fp.eligible[j] -= 1;
+                }
+            }
+        }
+    }
+
+    /// Books one unit of `stream`'s budget on `path` as spent (the
+    /// cursor has already decremented it): once the path's share is
+    /// gone, the stream stops counting toward that path's gate.
+    fn charge_budget(&mut self, stream: usize, path: usize) {
+        self.fp.sched_remaining[stream] -= 1;
+        if self.fp.counted[stream] && self.cursors[path].remaining(stream) == 0 {
+            self.fp.eligible[path] -= 1;
+        }
+    }
+
     /// Full index rebuild, run lazily at the first decision after a
     /// window start or stream-set change (the trait's window hook has
     /// no access to the queues). Also turns on the queues' wake
@@ -556,6 +603,10 @@ impl Pgos {
         self.fp.wheel.clear();
         self.fp.behind.clear();
         self.fp.unsched.clear();
+        self.fp.eligible.clear();
+        self.fp.eligible.resize(self.paths, 0);
+        self.fp.counted.clear();
+        self.fp.counted.resize(n, false);
         for cursor in &self.cursors {
             for s in 0..n {
                 self.fp.sched_remaining[s] += cursor.remaining(s);
@@ -730,7 +781,7 @@ impl Pgos {
                 }
                 if let Some(j) = victim {
                     let _ = self.cursors[j].next_scheduled(|s| s == stream);
-                    self.fp.sched_remaining[stream] -= 1;
+                    self.charge_budget(stream, j);
                 }
                 self.pop_scheduled(stream, queues)
             }
@@ -764,6 +815,52 @@ impl Pgos {
         popped
     }
 
+    /// Table 1 rule 1 on `path`: the next stream in `VS[path]` with
+    /// budget left on it and a packet this path may serve, its budget
+    /// charged. A coded stream qualifies only when one of its lanes
+    /// pinned to this path is backlogged (other lanes belong to other
+    /// paths); uncoded streams keep the plain backlog test.
+    ///
+    /// The cursor walks only when the O(1) gate is open: some uncoded
+    /// stream is counted in `eligible[path]`, or some coded stream on
+    /// the path qualifies. A closed gate means the walk would lap
+    /// `VS[path]` without a hit and stop where it started, so skipping
+    /// it is exact.
+    fn rule1_pick(&mut self, path: usize, queues: &StreamQueues) -> Option<usize> {
+        let cursor = self.cursors.get_mut(path)?;
+        let plans = &self.coding_plans;
+        let eligible = |s: usize| match plans.get(s).and_then(Option::as_ref) {
+            Some(plan) if queues.lanes(s) == plan.n => {
+                (0..plan.n).any(|l| plan.lane_path(l) == path && queues.lane_backlogged(s, l))
+            }
+            _ => queues.len(s) > 0,
+        };
+        let open = self.fp.eligible[path] > 0
+            || self.coded_on_path.get(path).is_some_and(|coded| {
+                coded
+                    .iter()
+                    .any(|&s| cursor.remaining(s) > 0 && eligible(s))
+            });
+        if !open {
+            #[cfg(debug_assertions)]
+            for s in 0..self.specs.len() {
+                assert!(
+                    cursor.remaining(s) == 0 || !eligible(s),
+                    "rule-1 gate closed on path {path} while stream {s} is eligible"
+                );
+            }
+            return None;
+        }
+        let stream = cursor.next_scheduled(eligible);
+        debug_assert!(
+            stream.is_some(),
+            "rule-1 gate open on path {path} with no eligible stream"
+        );
+        let stream = stream?;
+        self.charge_budget(stream, path);
+        Some(stream)
+    }
+
     /// One Table 1 decision with the index already synced (the shared
     /// tail of [`MultipathScheduler::next_packet`] and
     /// [`MultipathScheduler::next_batch`]).
@@ -773,38 +870,25 @@ impl Pgos {
         now_ns: u64,
         queues: &mut StreamQueues,
     ) -> Option<QueuedPacket> {
-        // 1. The path's own scheduled packets (Table 1 rule 1). A coded
-        //    stream is eligible only when one of its lanes pinned to
-        //    this path is backlogged (other lanes belong to other
-        //    paths); uncoded streams keep the plain backlog test.
-        let plans = &self.coding_plans;
-        if let Some(cursor) = self.cursors.get_mut(path) {
-            let eligible = |s: usize| match plans.get(s).and_then(Option::as_ref) {
-                Some(plan) if queues.lanes(s) == plan.n => {
-                    (0..plan.n).any(|l| plan.lane_path(l) == path && queues.lane_backlogged(s, l))
+        // 1. The path's own scheduled packets (Table 1 rule 1).
+        if let Some(stream) = self.rule1_pick(path, queues) {
+            let pkt = self.pop_scheduled_on_path(stream, path, queues);
+            self.index_touch(stream, now_ns, queues.len(stream) > 0);
+            if let Some(p) = &pkt {
+                if self.trace.enabled() {
+                    self.trace.emit(TraceEvent::DispatchDecision {
+                        at_ns: now_ns,
+                        path: path as u32,
+                        stream: stream as u32,
+                        seq: p.seq,
+                        class: DispatchClass::Scheduled,
+                        candidate_deadline_ns: p.deadline_ns,
+                        class_min_deadline_ns: p.deadline_ns,
+                        other_scheduled_present: false,
+                    });
                 }
-                _ => queues.len(s) > 0,
-            };
-            if let Some(stream) = cursor.next_scheduled(eligible) {
-                self.fp.sched_remaining[stream] -= 1;
-                let pkt = self.pop_scheduled_on_path(stream, path, queues);
-                self.index_touch(stream, now_ns, queues.len(stream) > 0);
-                if let Some(p) = &pkt {
-                    if self.trace.enabled() {
-                        self.trace.emit(TraceEvent::DispatchDecision {
-                            at_ns: now_ns,
-                            path: path as u32,
-                            stream: stream as u32,
-                            seq: p.seq,
-                            class: DispatchClass::Scheduled,
-                            candidate_deadline_ns: p.deadline_ns,
-                            class_min_deadline_ns: p.deadline_ns,
-                            other_scheduled_present: false,
-                        });
-                    }
-                }
-                return pkt;
             }
+            return pkt;
         }
         // 2./3. Spare capacity: other-path and unscheduled packets.
         self.pop_fallback(path, now_ns, queues)
@@ -981,9 +1065,18 @@ impl MultipathScheduler for Pgos {
         self.remaps += 1;
         self.coding_plans.clear();
         self.coding_plans.resize(self.specs.len(), None);
+        self.coded_on_path.clear();
+        self.coded_on_path.resize(self.paths, Vec::new());
+        let assignments = &self.mapping.as_ref().expect("installed above").assignments;
         for plan in &dm.plans {
             if plan.n > 1 {
                 self.coding_plans[plan.stream] = Some(plan.clone());
+                let row = &assignments[plan.stream];
+                for (j, coded) in self.coded_on_path.iter_mut().enumerate() {
+                    if row[j] > 0 {
+                        coded.push(plan.stream);
+                    }
+                }
             }
         }
         self.fp.dirty = true;
@@ -1372,6 +1465,28 @@ mod tests {
         assert!(pgos.next_packet(1, 2, &mut q).is_none());
         let pkt = pgos.next_packet(2, 3, &mut q).expect("path 2 owns lane 2");
         assert_eq!((pkt.stream, pkt.seq), (0, 2));
+    }
+
+    /// A stale eligible-stream count (the count says path 0 has no
+    /// rule-1 candidate while one is queued) must trip the debug
+    /// cross-check instead of silently falling through to rules 2/3.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rule-1 gate closed on path 0 while stream 0 is eligible")]
+    fn stale_eligible_count_trips_the_gate_cross_check() {
+        let (mut pgos, mut q) = setup();
+        fill(&mut q, 0, 10);
+        pgos.on_window_start(
+            0,
+            1_000_000_000,
+            &snapshots(vec![uniform_cdf(50, 100), uniform_cdf(10, 60)]),
+        );
+        // First decision rebuilds the index: stream 0 (budget on path
+        // 0, 9 packets left) is the only eligible stream there.
+        assert_eq!(pgos.next_packet(0, 1, &mut q).unwrap().stream, 0);
+        assert_eq!(pgos.fp.eligible[0], 1);
+        pgos.fp.eligible[0] = 0;
+        let _ = pgos.next_packet(0, 2, &mut q);
     }
 
     #[test]

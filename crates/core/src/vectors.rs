@@ -191,7 +191,8 @@ impl VsCursor {
         self.remaining.extend((0..streams).map(budget));
     }
 
-    /// Budget left for stream `i` this window.
+    /// Budget left for stream `i` this window (0 for a stream the
+    /// budget vector does not cover).
     pub fn remaining(&self, stream: usize) -> u32 {
         self.remaining.get(stream).copied().unwrap_or(0)
     }
@@ -206,7 +207,9 @@ impl VsCursor {
     ///
     /// Streams whose application queue is empty are skipped without
     /// consuming budget (their slots may be reclaimed later in the
-    /// window if packets arrive).
+    /// window if packets arrive). A miss walks one full lap and leaves
+    /// the position where it started; `Pgos` only calls this when its
+    /// O(1) rule-1 gate says an eligible stream exists (DESIGN.md §12).
     pub fn next_scheduled<F: Fn(usize) -> bool>(&mut self, has_packet: F) -> Option<usize> {
         if self.vs.is_empty() {
             return None;
@@ -215,7 +218,7 @@ impl VsCursor {
         for _ in 0..self.vs.len() {
             let stream = self.vs[self.pos];
             self.pos = (self.pos + 1) % self.vs.len();
-            if self.remaining[stream] > 0 && has_packet(stream) {
+            if self.remaining(stream) > 0 && has_packet(stream) {
                 self.remaining[stream] -= 1;
                 return Some(stream);
             }
@@ -312,6 +315,17 @@ mod tests {
         assert_eq!(c.remaining(0), 1, "stream 0's budget must be intact");
         // Stream 0's packet arrives later in the window.
         assert_eq!(c.next_scheduled(|_| true), Some(0));
+    }
+
+    #[test]
+    fn cursor_treats_a_missing_budget_as_zero() {
+        // `VS` names stream 1 but the budget vector stops at stream 0:
+        // the lap must skip it, as `remaining(1)` reports, not panic.
+        let mut c = VsCursor::new(vec![0, 1], vec![1]);
+        assert_eq!(c.remaining(1), 0);
+        assert_eq!(c.next_scheduled(|_| true), Some(0));
+        assert_eq!(c.next_scheduled(|_| true), None);
+        assert_eq!(c.total_remaining(), 0);
     }
 
     #[test]

@@ -1,11 +1,177 @@
 //! Property-based tests of PGOS invariants: vector construction,
-//! precedence totality, and resource-mapping conservation laws.
+//! precedence totality, resource-mapping conservation laws, and the
+//! decision sequence of the PGOS scheduler itself.
 
 use iqpaths_core::mapping::{largest_remainder_split, ResourceMapper};
 use iqpaths_core::stream::StreamSpec;
 use iqpaths_core::vectors::{path_lookup_vector, SchedulingVectors};
+use iqpaths_core::{
+    MappingMode, MultipathScheduler, PathSnapshot, Pgos, PgosConfig, StreamCoding, StreamQueues,
+};
 use iqpaths_stats::{CdfSummary, EmpiricalCdf};
 use proptest::prelude::*;
+
+/// Scheduling window of the decision-sequence properties (0.2 s).
+const WINDOW_NS: u64 = 200_000_000;
+
+/// Per-path uniform bandwidth CDFs, in 1000-byte packets per second,
+/// drawn from the bits of `op`. Each window start redraws them, so
+/// PGOS re-runs resource mapping on a fresh random assignment matrix
+/// whenever the drift trips its KS threshold.
+fn snapshots_from(op: u64, paths: usize) -> Vec<PathSnapshot> {
+    (0..paths)
+        .map(|j| {
+            let bits = op >> (8 + 12 * j);
+            let lo = 2 + bits % 60;
+            let hi = lo + 1 + (bits >> 6) % 40;
+            let cdf =
+                EmpiricalCdf::from_clean_samples((lo..=hi).map(|v| v as f64 * 8000.0).collect());
+            PathSnapshot::from_cdf(j, cdf)
+        })
+        .collect()
+}
+
+/// Drives one `Pgos` through a random interleaving of pushes, single
+/// and batched decisions on random paths at non-decreasing times, and
+/// window starts, checking every popped packet against a model of the
+/// queues. Every op is one `u64`: `op % 16` picks the kind, the higher
+/// bits its arguments.
+///
+/// Debug builds (what `cargo test` runs) also judge every decision
+/// with the scheduler's own cross-checks: the rule-1 gate against a
+/// scan of every stream, and the fallback index against
+/// `debug_scan_winner`.
+///
+/// Stream `i` is best-effort when `kinds[i] == 0` and carries a
+/// p = 0.9 guarantee otherwise, at `rates[i]` 1000-byte packets per
+/// second.
+fn drive_pgos(mode: MappingMode, paths: usize, kinds: &[u32], rates: &[u32], ops: &[u64]) {
+    let specs: Vec<StreamSpec> = kinds
+        .iter()
+        .zip(rates)
+        .enumerate()
+        .map(|(i, (&kind, &rate))| {
+            let bps = f64::from(rate) * 8000.0;
+            if kind == 0 {
+                StreamSpec::best_effort(i, "bulk", bps, 1000)
+            } else {
+                StreamSpec::probabilistic(i, "guaranteed", bps, 0.9, 1000)
+            }
+        })
+        .collect();
+    let n = specs.len();
+    let cfg = PgosConfig {
+        window_secs: WINDOW_NS as f64 / 1e9,
+        mapping_mode: mode,
+        ..PgosConfig::default()
+    };
+    let mut pgos = Pgos::new(cfg, specs, paths);
+    let mut queues = StreamQueues::new(n, 100_000);
+    let first = snapshots_from(ops[0], paths);
+    let mut plans: Vec<Option<StreamCoding>> = vec![None; n];
+    for plan in pgos.plan_coding(&first, &[], 0) {
+        if plan.n > 1 {
+            queues.set_lanes(plan.stream, plan.n);
+            let s = plan.stream;
+            plans[s] = Some(plan);
+        }
+    }
+    if mode == MappingMode::Diversity {
+        assert!(plans.iter().any(Option::is_some), "no stream was coded");
+    }
+    pgos.on_window_start(0, WINDOW_NS, &first);
+
+    // Next sequence number each lane must pop (uncoded streams are
+    // one lane): pops are per-stream FIFO, or per-lane for striped
+    // streams, and never repeat a packet.
+    let mut expect: Vec<Vec<u64>> = plans
+        .iter()
+        .map(|p| {
+            p.as_ref()
+                .map_or(vec![0], |plan| (0..plan.n as u64).collect())
+        })
+        .collect();
+    let mut pushed = vec![0usize; n];
+    let mut popped = vec![0usize; n];
+    let mut out = Vec::new();
+    let mut now = 0u64;
+    for &op in ops {
+        match op % 16 {
+            0 => {
+                now += (op >> 56) * 100_000;
+                pgos.on_window_start(now, WINDOW_NS, &snapshots_from(op, paths));
+            }
+            1..=5 => {
+                let s = ((op >> 8) % n as u64) as usize;
+                for _ in 0..1 + (op >> 16) % 2 {
+                    assert!(queues.push(s, 1000, now));
+                    pushed[s] += 1;
+                }
+            }
+            kind => {
+                let path = ((op >> 8) % paths as u64) as usize;
+                now += (op >> 16) % 40_000_000;
+                out.clear();
+                if kind == 15 {
+                    let max = 1 + ((op >> 48) % 4) as usize;
+                    pgos.next_batch(path, now, &mut queues, max, &mut out);
+                } else {
+                    out.extend(pgos.next_packet(path, now, &mut queues));
+                }
+                for pkt in &out {
+                    let s = pkt.stream;
+                    let lane = match &plans[s] {
+                        Some(plan) => {
+                            let lane = (pkt.seq % plan.n as u64) as usize;
+                            assert_eq!(
+                                plan.lane_path(lane),
+                                path,
+                                "coded stream {s} served off its pinned lane"
+                            );
+                            lane
+                        }
+                        None => 0,
+                    };
+                    assert_eq!(pkt.seq, expect[s][lane], "stream {s} popped out of order");
+                    expect[s][lane] += expect[s].len() as u64;
+                    popped[s] += 1;
+                }
+            }
+        }
+    }
+    for s in 0..n {
+        assert_eq!(
+            popped[s] + queues.len(s),
+            pushed[s],
+            "stream {s} lost packets"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn pgos_decision_sequences_conserve_packets(
+        kinds in prop::collection::vec(0u32..3, 1..7),
+        rates in prop::collection::vec(1u32..40, 6),
+        paths in 1usize..5,
+        ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        drive_pgos(MappingMode::Pgos, paths, &kinds, &rates, &ops);
+    }
+
+    #[test]
+    fn diversity_decision_sequences_keep_lanes_on_their_paths(
+        kinds in prop::collection::vec(0u32..3, 1..7),
+        rates in prop::collection::vec(1u32..20, 6),
+        paths in 2usize..5,
+        ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        // At least one guaranteed (hence coded) stream per case.
+        let mut kinds = kinds;
+        kinds[0] = 1;
+        drive_pgos(MappingMode::Diversity, paths, &kinds, &rates, &ops);
+    }
+}
 
 proptest! {
     #[test]
