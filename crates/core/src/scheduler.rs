@@ -63,6 +63,37 @@ struct Backoff {
     current_ns: u64,
 }
 
+/// What the last exact KS scan of one path's `Rolling` summary against
+/// its reference found. A later snapshot of the same window with the
+/// same length `N` and factor, `e` edits on, holds a counting function
+/// within `e / 2` samples of the scanned one everywhere (the inserts
+/// equal the removes, and each moves any count by at most 1), so by
+/// the triangle inequality its KS distance to the reference is at most
+/// `ks + e / (2N)`. This relies on every `Rolling` summary of path `j`
+/// being a snapshot of one `RollingCdf`, as the monitoring module
+/// hands them out; debug builds re-check each skip.
+#[derive(Debug, Clone, Copy)]
+struct DriftMemo {
+    ks: f64,
+    edits: u64,
+    len: usize,
+    factor_bits: u64,
+}
+
+impl DriftMemo {
+    /// Upper bound (with a `1e-9` rounding margin) on the KS distance
+    /// of `cdf`, `edits` edits after the memo, to the memo's
+    /// reference; `None` when the memo does not cover `cdf`.
+    fn bound(&self, cdf: &CdfSummary, edits: u64) -> Option<f64> {
+        let len = cdf.len();
+        if len == 0 || len != self.len || cdf.factor().to_bits() != self.factor_bits {
+            return None;
+        }
+        let e = edits.checked_sub(self.edits)?;
+        Some(self.ks + e as f64 / (2 * len) as f64 + 1e-9)
+    }
+}
+
 /// Index over backlogged streams replacing the fallback's per-decision
 /// scan (DESIGN.md §12). Every backlogged stream has exactly one
 /// *valid* entry, in the structure matching its Table 1 class:
@@ -161,6 +192,9 @@ pub struct Pgos {
     /// checks these directly because lane transitions are not
     /// journaled.
     coded_on_path: Vec<Vec<usize>>,
+    /// Per path: the last exact KS scan against `reference_cdfs`, for
+    /// `Rolling` summaries only (cleared whenever the references are).
+    drift_memo: Vec<Option<DriftMemo>>,
     /// Debug-only scratch for the scan-based fallback cross-check.
     #[cfg(debug_assertions)]
     debug_candidates: Vec<crate::precedence::Candidate>,
@@ -203,6 +237,7 @@ impl Pgos {
             feasible_scratch: Vec::new(),
             coding_plans: Vec::new(),
             coded_on_path: Vec::new(),
+            drift_memo: Vec::new(),
             #[cfg(debug_assertions)]
             debug_candidates: Vec::new(),
         }
@@ -295,9 +330,41 @@ impl Pgos {
         if self.reference_cdfs.len() != cdfs.len() {
             return true;
         }
-        // Distribution drift beyond the KS threshold.
-        for (r, c) in self.reference_cdfs.iter().zip(cdfs) {
-            if r.ks_distance(c) > self.cfg.remap_ks_threshold {
+        // Distribution drift beyond the KS threshold. A `Rolling` path
+        // whose drift memo proves it stays below the threshold is not
+        // rescanned: it could not have been the first exceeding path.
+        let threshold = self.cfg.remap_ks_threshold;
+        for (j, (r, c)) in self.reference_cdfs.iter().zip(cdfs).enumerate() {
+            let Some(edits) = c.edits() else {
+                if r.ks_distance(c) > threshold {
+                    return true;
+                }
+                continue;
+            };
+            let memo = &mut self.drift_memo[j];
+            if let Some(bound) = memo.and_then(|m| m.bound(c, edits)) {
+                if bound <= threshold {
+                    // `bound <= threshold`, so this also pins the skipped
+                    // path below the threshold.
+                    #[cfg(debug_assertions)]
+                    {
+                        let ks = r.ks_distance(c);
+                        assert!(
+                            ks <= bound,
+                            "drift memo skipped path {j} with KS {ks} (bound {bound}, threshold {threshold})"
+                        );
+                    }
+                    continue;
+                }
+            }
+            let ks = r.ks_distance(c);
+            *memo = Some(DriftMemo {
+                ks,
+                edits,
+                len: c.len(),
+                factor_bits: c.factor().to_bits(),
+            });
+            if ks > threshold {
                 return true;
             }
         }
@@ -349,9 +416,17 @@ impl Pgos {
             &mapping.assignments,
         )));
         self.mapping = Some(mapping);
-        self.reference_cdfs.clear();
-        self.reference_cdfs.extend(cdfs.iter().cloned());
+        self.set_references(cdfs.iter().cloned());
         self.remaps += 1;
+    }
+
+    /// Installs the summaries a fresh mapping was computed against;
+    /// every drift memo was measured against the old ones.
+    fn set_references(&mut self, cdfs: impl IntoIterator<Item = CdfSummary>) {
+        self.reference_cdfs.clear();
+        self.reference_cdfs.extend(cdfs);
+        self.drift_memo.clear();
+        self.drift_memo.resize(self.reference_cdfs.len(), None);
     }
 
     fn rebuild_cursors(&mut self) {
@@ -1060,8 +1135,7 @@ impl MultipathScheduler for Pgos {
             dm.result.emit_trace(&self.trace, now_ns);
         }
         self.mapping = Some(dm.result);
-        self.reference_cdfs.clear();
-        self.reference_cdfs.extend(cdfs);
+        self.set_references(cdfs);
         self.remaps += 1;
         self.coding_plans.clear();
         self.coding_plans.resize(self.specs.len(), None);
@@ -1088,7 +1162,7 @@ impl MultipathScheduler for Pgos {
 mod tests {
     use super::*;
     use crate::stream::StreamSpec;
-    use iqpaths_stats::EmpiricalCdf;
+    use iqpaths_stats::{EmpiricalCdf, RollingCdf};
 
     fn mbps(v: f64) -> f64 {
         v * 1.0e6
@@ -1487,6 +1561,74 @@ mod tests {
         assert_eq!(pgos.fp.eligible[0], 1);
         pgos.fp.eligible[0] = 0;
         let _ = pgos.next_packet(0, 2, &mut q);
+    }
+
+    fn rolling_uniform(lo: u32, hi: u32) -> RollingCdf {
+        let mut r = RollingCdf::new();
+        for i in lo..=hi {
+            r.push(mbps(i as f64));
+        }
+        r
+    }
+
+    fn rolling_snapshots(rolls: &[RollingCdf]) -> Vec<PathSnapshot> {
+        rolls
+            .iter()
+            .enumerate()
+            .map(|(i, r)| PathSnapshot::from_summary(i, CdfSummary::rolling(r.snapshot())))
+            .collect()
+    }
+
+    /// Replaces the `n` largest samples with `v` Mbps each, one
+    /// remove-then-push edit pair at a time (the length stays put).
+    fn replace_samples(r: &mut RollingCdf, n: usize, v: f64) {
+        for _ in 0..n {
+            let top = r.snapshot().max().expect("non-empty");
+            assert!(r.remove(top));
+            r.push(mbps(v));
+        }
+    }
+
+    #[test]
+    fn drift_memo_skips_small_edits_and_still_catches_drift() {
+        let (mut pgos, _q) = setup();
+        let mut rolls = [rolling_uniform(50, 100), rolling_uniform(10, 60)];
+        let second = 1_000_000_000;
+        pgos.on_window_start(0, second, &rolling_snapshots(&rolls));
+        // First window after the mapping: an exact scan per path.
+        pgos.on_window_start(second, second, &rolling_snapshots(&rolls));
+        let scanned = pgos.drift_memo[0].expect("scanned").edits;
+        // Two replacements: bound 4 / (2 · 51) ≈ 0.04 < 0.2, no scan.
+        replace_samples(&mut rolls[0], 2, 75.0);
+        pgos.on_window_start(2 * second, second, &rolling_snapshots(&rolls));
+        assert_eq!(pgos.drift_memo[0].expect("kept").edits, scanned);
+        assert_eq!(pgos.remap_count(), 1);
+        // A collapse is past any bound: scanned, and it remaps.
+        replace_samples(&mut rolls[0], 40, 12.0);
+        pgos.on_window_start(3 * second, second, &rolling_snapshots(&rolls));
+        assert_eq!(pgos.remap_count(), 2);
+        assert!(pgos.drift_memo.iter().all(Option::is_none));
+    }
+
+    /// A stale drift memo (KS 0 at the current edit count, planted
+    /// after a real drift) must trip the debug cross-check instead of
+    /// silently suppressing the remap.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "drift memo skipped path 0")]
+    fn stale_drift_memo_trips_the_cross_check() {
+        let (mut pgos, _q) = setup();
+        let mut rolls = [rolling_uniform(50, 100), rolling_uniform(10, 60)];
+        pgos.on_window_start(0, 1_000_000_000, &rolling_snapshots(&rolls));
+        replace_samples(&mut rolls[0], 51, 12.0);
+        let drifted = rolling_snapshots(&rolls);
+        pgos.drift_memo[0] = Some(DriftMemo {
+            ks: 0.0,
+            edits: drifted[0].cdf.edits().expect("rolling"),
+            len: drifted[0].cdf.len(),
+            factor_bits: 1.0f64.to_bits(),
+        });
+        pgos.on_window_start(1_000_000_000, 1_000_000_000, &drifted);
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub enum CdfMode {
         max_bw: f64,
     },
     /// Incrementally maintained order statistics over the same rolling
-    /// window as `Exact`: O(log N) per sample, O(1) snapshot, and
-    /// queries bit-identical to the exact empirical CDF.
+    /// window as `Exact`: a binary search plus an at most N-word memmove
+    /// per sample, O(1) snapshot, and queries bit-identical to the exact
+    /// empirical CDF.
     Rolling,
     /// Constant-memory extended-P² quantile sketch over the whole
     /// stream — O(markers) per sample and per snapshot, approximate
@@ -140,8 +141,8 @@ impl MonitoringModule {
             }
             Backend::Rolling(rolls) => {
                 // Mirror the window's multiset exactly: evictions the
-                // push displaces leave the treap before the new sample
-                // enters it.
+                // push displaces leave the sorted vector before the new
+                // sample enters it.
                 let roll = &mut rolls[path];
                 if windows[path].push_with(t, bw, |old| {
                     roll.remove(old);
@@ -194,7 +195,7 @@ impl MonitoringModule {
     ///
     /// Snapshot cost depends on the mode: `Exact` sorts the window
     /// (O(N log N)), `Histogram` resamples quantile points,
-    /// `Rolling` shares the treap root (O(1)), and `Sketch` clones its
+    /// `Rolling` shares its sorted vector (O(1)), and `Sketch` clones its
     /// O(markers) state. `oracle_next_rate` and `loss` are left at
     /// their defaults; runtimes with ground truth fill them in.
     pub fn stats(&self, path: usize) -> PathSnapshot {

@@ -13,9 +13,10 @@
 //!   required by the paper's Lemma 2.
 //! * [`histogram::HistogramCdf`] — streaming fixed-bin approximation used
 //!   on the scheduler fast path.
-//! * [`rolling::RollingCdf`] / [`rolling::TreapCdf`] — incrementally
-//!   maintained rolling-window CDF (O(log N) per sample, O(1) snapshot)
-//!   answering queries bit-identically to [`cdf::EmpiricalCdf`].
+//! * [`rolling::RollingCdf`] / [`rolling::WindowCdf`] — incrementally
+//!   maintained rolling-window CDF (a copy-on-write sorted vector:
+//!   binary search plus memmove per sample, O(1) snapshot) answering
+//!   queries bit-identically to [`cdf::EmpiricalCdf`].
 //! * [`sketch::QuantileSketch`] — constant-memory streaming quantile
 //!   sketch (extended P²) for approximate summaries.
 //! * [`summary::CdfSummary`] — the unified, cheaply-cloneable summary
@@ -61,7 +62,7 @@ pub use cdf::EmpiricalCdf;
 pub use histogram::HistogramCdf;
 pub use percentile::PercentilePredictor;
 pub use predictors::{ArOne, Ewma, MovingAverage, Predictor, SlidingMedian};
-pub use rolling::{RollingCdf, TreapCdf};
+pub use rolling::{RollingCdf, WindowCdf};
 pub use sketch::QuantileSketch;
 pub use summary::CdfSummary;
 pub use window::SampleWindow;

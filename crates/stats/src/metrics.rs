@@ -85,17 +85,6 @@ pub fn interarrival_jitter(arrival_times: &[f64]) -> f64 {
     gaps.iter().map(|g| (g - mg).abs()).sum::<f64>() / gaps.len() as f64
 }
 
-/// RFC3550-style smoothed jitter estimate over arrival gaps relative to a
-/// nominal period (e.g. 40 ms for 25 frames/s).
-pub fn smoothed_jitter(arrival_times: &[f64], nominal_period: f64) -> f64 {
-    let mut j = 0.0;
-    for w in arrival_times.windows(2) {
-        let d = (w[1] - w[0] - nominal_period).abs();
-        j += (d - j) / 16.0;
-    }
-    j
-}
-
 /// The Figure 11 per-stream summary row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuaranteeSummary {
@@ -188,7 +177,6 @@ mod tests {
     fn jitter_of_perfect_cadence_is_zero() {
         let times: Vec<f64> = (0..50).map(|i| i as f64 * 0.04).collect();
         assert!(interarrival_jitter(&times) < 1e-12);
-        assert!(smoothed_jitter(&times, 0.04) < 1e-12);
     }
 
     #[test]
@@ -201,7 +189,6 @@ mod tests {
             }
         }
         assert!(interarrival_jitter(&irregular) > interarrival_jitter(&regular));
-        assert!(smoothed_jitter(&irregular, 0.04) > smoothed_jitter(&regular, 0.04));
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! * [`CdfSummary::Exact`] — an `Arc`-shared [`EmpiricalCdf`]; the
 //!   paper-faithful baseline. All queries are bit-identical to calling
 //!   the inner CDF directly.
-//! * [`CdfSummary::Rolling`] — a [`TreapCdf`] snapshot from an
-//!   incrementally-maintained [`crate::RollingCdf`]. Same exact answers
-//!   as `Exact` over the same multiset, but producing one costs O(1)
-//!   instead of an O(N log N) rebuild.
+//! * [`CdfSummary::Rolling`] — a [`WindowCdf`] snapshot (a shared,
+//!   copy-on-write sorted vector) from an incrementally-maintained
+//!   [`crate::RollingCdf`]. Same exact answers as `Exact` over the same
+//!   multiset, but producing one costs O(1) instead of an O(N log N)
+//!   rebuild, and it carries the source's edit count
+//!   ([`CdfSummary::edits`]) so a drift check can bound how far two
+//!   snapshots of one window can be apart without scanning them.
 //! * [`CdfSummary::Sketch`] — an `Arc`-shared constant-memory
 //!   [`QuantileSketch`]; approximate answers, O(m) space.
 //!
@@ -28,7 +31,7 @@
 //! time (`quantile`/`mean` multiply by `f`; `prob_below`/`truncated_mean`
 //! divide the threshold by `f`), so scaling never copies the structure.
 
-use crate::rolling::TreapCdf;
+use crate::rolling::WindowCdf;
 use crate::sketch::QuantileSketch;
 use crate::{BandwidthCdf, EmpiricalCdf};
 use std::sync::Arc;
@@ -38,11 +41,11 @@ use std::sync::Arc;
 pub enum CdfSummary {
     /// Exact empirical CDF (paper-faithful; `Arc`-shared).
     Exact(Arc<EmpiricalCdf>),
-    /// Exact treap snapshot of a rolling window, with a lazy scale
-    /// factor (1.0 = unscaled).
+    /// Exact sorted-vector snapshot of a rolling window, with a lazy
+    /// scale factor (1.0 = unscaled).
     Rolling {
         /// The frozen window multiset.
-        cdf: TreapCdf,
+        cdf: WindowCdf,
         /// Lazy multiplicative scale applied at query time.
         factor: f64,
     },
@@ -61,8 +64,8 @@ impl CdfSummary {
         CdfSummary::Exact(Arc::new(cdf))
     }
 
-    /// Wraps a treap snapshot (unscaled).
-    pub fn rolling(cdf: TreapCdf) -> Self {
+    /// Wraps a rolling-window snapshot (unscaled).
+    pub fn rolling(cdf: WindowCdf) -> Self {
         CdfSummary::Rolling { cdf, factor: 1.0 }
     }
 
@@ -117,8 +120,8 @@ impl CdfSummary {
         match self {
             CdfSummary::Exact(e) => (Box::new(e.samples().iter().copied()), e.len()),
             CdfSummary::Rolling { cdf, factor } => {
-                let f = *factor;
-                (Box::new(cdf.sorted_values().map(move |v| v * f)), cdf.len())
+                let (f, s) = (*factor, cdf.samples());
+                (Box::new(s.iter().map(move |&v| v * f)), s.len())
             }
             CdfSummary::Sketch { cdf, factor } => {
                 let f = *factor;
@@ -131,22 +134,42 @@ impl CdfSummary {
     /// Two-sample Kolmogorov–Smirnov distance between two summaries
     /// (any variant mix) — the remap trigger. O(n + m).
     ///
-    /// `Exact` × `Exact` — the per-window drift probe on the scheduler
-    /// fast path — is allocation-free: amortized snapshots share their
-    /// `Arc` (distance is identically zero), and even distinct exact
-    /// CDFs compare through concrete slice iterators. Mixed-variant
-    /// comparisons pay two iterator boxes.
+    /// `Exact` × `Exact` and `Rolling` × `Rolling` — the per-window
+    /// drift probe on the scheduler fast path — are allocation-free:
+    /// snapshots sharing their `Arc` (and, for `Rolling`, their factor)
+    /// are identically zero apart, and distinct ones compare through
+    /// concrete slice iterators yielding the same values in the same
+    /// order as the generic stream. Mixed-variant comparisons pay two
+    /// iterator boxes.
     pub fn ks_distance(&self, other: &Self) -> f64 {
-        if let (CdfSummary::Exact(a), CdfSummary::Exact(b)) = (self, other) {
-            if Arc::ptr_eq(a, b) {
-                return 0.0;
+        match (self, other) {
+            (CdfSummary::Exact(a), CdfSummary::Exact(b)) => {
+                if Arc::ptr_eq(a, b) {
+                    return 0.0;
+                }
+                return crate::cdf::ks_sorted_streams(
+                    a.samples().iter().copied(),
+                    a.len(),
+                    b.samples().iter().copied(),
+                    b.len(),
+                );
             }
-            return crate::cdf::ks_sorted_streams(
-                a.samples().iter().copied(),
-                a.len(),
-                b.samples().iter().copied(),
-                b.len(),
-            );
+            (
+                CdfSummary::Rolling { cdf: a, factor: fa },
+                CdfSummary::Rolling { cdf: b, factor: fb },
+            ) => {
+                let (fa, fb) = (*fa, *fb);
+                if a.ptr_eq(b) && fa.to_bits() == fb.to_bits() {
+                    return 0.0;
+                }
+                return crate::cdf::ks_sorted_streams(
+                    a.samples().iter().map(|&v| v * fa),
+                    a.len(),
+                    b.samples().iter().map(|&v| v * fb),
+                    b.len(),
+                );
+            }
+            _ => {}
         }
         let (a, n) = self.sorted_stream();
         let (b, m) = other.sorted_stream();
@@ -160,6 +183,25 @@ impl CdfSummary {
     pub fn residual(&self, committed: f64) -> EmpiricalCdf {
         let (vals, _) = self.sorted_stream();
         EmpiricalCdf::from_clean_samples(vals.map(|b| (b - committed).max(0.0)).collect())
+    }
+
+    /// Successful writes the source rolling window had taken when this
+    /// summary was snapshotted — `Some` for `Rolling` only. Two
+    /// `Rolling` summaries of one window with equal lengths and equal
+    /// factors, `e` edits apart, hold counting functions that differ by
+    /// at most `e / 2` samples at every point, so their KS distance is
+    /// at most `e / (2 · len)`.
+    pub fn edits(&self) -> Option<u64> {
+        match self {
+            CdfSummary::Rolling { cdf, .. } => Some(cdf.edits()),
+            _ => None,
+        }
+    }
+
+    /// The lazy scale factor applied at query time (`1.0` for `Exact`,
+    /// which materializes its scaling).
+    pub fn factor(&self) -> f64 {
+        self.parts().1
     }
 
     /// Largest sample (scale applied).
@@ -250,7 +292,7 @@ mod tests {
 
     fn variants(vals: &[f64]) -> (CdfSummary, CdfSummary) {
         let e = CdfSummary::exact(EmpiricalCdf::from_clean_samples(vals.to_vec()));
-        let r = CdfSummary::rolling(TreapCdf::from_samples(vals.iter().copied()));
+        let r = CdfSummary::rolling(WindowCdf::from_samples(vals.iter().copied()));
         (e, r)
     }
 
@@ -284,7 +326,7 @@ mod tests {
     #[test]
     fn lazy_scale_queries() {
         let vals = pseudo(200);
-        let r = CdfSummary::rolling(TreapCdf::from_samples(vals.iter().copied())).scale(0.5);
+        let r = CdfSummary::rolling(WindowCdf::from_samples(vals.iter().copied())).scale(0.5);
         let e = CdfSummary::exact(EmpiricalCdf::from_clean_samples(
             vals.iter().map(|v| v * 0.5).collect(),
         ));
@@ -306,7 +348,7 @@ mod tests {
 
     #[test]
     fn zero_scale_collapses_to_zero() {
-        let r = CdfSummary::rolling(TreapCdf::from_samples(pseudo(10))).scale(0.0);
+        let r = CdfSummary::rolling(WindowCdf::from_samples(pseudo(10))).scale(0.0);
         assert_eq!(r.quantile(0.5), Some(0.0));
         assert_eq!(r.prob_below(0.0), 1.0);
         assert_eq!(r.prob_below_strict(0.0), 0.0);
@@ -324,6 +366,43 @@ mod tests {
             vals.iter().map(|v| v + 1.0e6).collect(),
         ));
         assert!((e.ks_distance(&shifted) - 1.0).abs() < 1e-12);
+    }
+
+    /// The generic boxed-stream KS path, which the `Rolling` ×
+    /// `Rolling` slice arm must reproduce bit for bit.
+    fn ks_via_streams(a: &CdfSummary, b: &CdfSummary) -> f64 {
+        let (x, n) = a.sorted_stream();
+        let (y, m) = b.sorted_stream();
+        crate::cdf::ks_sorted_streams(x, n, y, m)
+    }
+
+    #[test]
+    fn rolling_slice_arm_matches_generic_streams_bitwise() {
+        let long = pseudo(300);
+        let short: Vec<f64> = pseudo(420).split_off(250);
+        let shifted: Vec<f64> = long.iter().map(|v| v * 1.1 + 7.0).collect();
+        for f in [1.0, 0.9, 0.0] {
+            for (x, y) in [(&long, &shifted), (&long, &short), (&short, &long)] {
+                let a = CdfSummary::rolling(WindowCdf::from_samples(x.iter().copied()));
+                let b = CdfSummary::rolling(WindowCdf::from_samples(y.iter().copied()));
+                for (a, b) in [(a.scale(f), b.scale(f)), (a.clone(), b.scale(f))] {
+                    let fast = a.ks_distance(&b);
+                    assert_eq!(fast.to_bits(), ks_via_streams(&a, &b).to_bits(), "f={f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rolling_shared_snapshot_is_exactly_zero_apart() {
+        let r = CdfSummary::rolling(WindowCdf::from_samples(pseudo(50)));
+        let twin = r.clone();
+        assert_eq!(r.ks_distance(&twin).to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.scale(0.9).ks_distance(&twin.scale(0.9)), 0.0);
+        // One `Arc`, two factors: a real comparison, not the shortcut.
+        assert!(r.ks_distance(&twin.scale(0.5)) > 0.0);
+        assert_eq!(r.edits(), Some(50));
+        assert_eq!(CdfSummary::empty().edits(), None);
     }
 
     #[test]

@@ -1,13 +1,5 @@
-//! Time-series helpers: summaries, autocovariance, and the simple
-//! change-point (regime-drift) detector used as PGOS's remap trigger.
-//!
-//! The paper re-runs resource mapping "when the CDF of some path changes
-//! dramatically" (§5.2.2). [`DriftDetector`] operationalizes that: it
-//! compares the empirical CDF of the most recent block of samples to the
-//! CDF in force at the last remap via the Kolmogorov–Smirnov statistic.
-
-use crate::rolling::{RollingCdf, TreapCdf};
-use crate::EmpiricalCdf;
+//! Time-series helpers: summaries, autocovariance, epoch downsampling
+//! and the aggregated-variance Hurst estimate.
 
 /// Basic descriptive statistics of a series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,101 +60,12 @@ pub fn autocorrelation(xs: &[f64], lag: usize) -> f64 {
     cov / var
 }
 
-/// Kolmogorov–Smirnov based distribution-drift detector.
-///
-/// Maintains a *reference* CDF (the distribution in force at the last
-/// remap) and a rolling *recent* block; `DriftDetector::observe`
-/// fires when `sup|F_ref − F_recent|` exceeds the threshold.
-///
-/// Both sides are kept as incremental treap structures
-/// ([`RollingCdf`] / [`TreapCdf`]): each observation costs O(log B),
-/// block boundaries freeze the recent block in O(1), and the KS
-/// comparison streams both sorted multisets in O(B) — no
-/// [`EmpiricalCdf`] is rebuilt anywhere on the hot path. The KS value
-/// is bit-identical to the old rebuild-and-compare implementation
-/// (same sorted streams, same divisions).
-#[derive(Debug, Clone)]
-pub struct DriftDetector {
-    reference: Option<TreapCdf>,
-    recent: RollingCdf,
-    block: usize,
-    threshold: f64,
-}
-
-impl DriftDetector {
-    /// Detector comparing blocks of `block` samples with KS threshold
-    /// `threshold` (a value around 0.2–0.3 works well for remap
-    /// triggering; 0 fires on any difference).
-    ///
-    /// # Panics
-    /// Panics if `block == 0` or threshold is not in `[0, 1]`.
-    pub fn new(block: usize, threshold: f64) -> Self {
-        assert!(block > 0, "block must be positive");
-        assert!((0.0..=1.0).contains(&threshold), "threshold in [0,1]");
-        Self {
-            reference: None,
-            recent: RollingCdf::new(),
-            block,
-            threshold,
-        }
-    }
-
-    /// Feeds one sample; returns `true` if this sample completed a block
-    /// whose distribution drifted beyond the threshold (the caller should
-    /// then remap and [`DriftDetector::rebase`]).
-    pub fn observe(&mut self, x: f64) -> bool {
-        if !self.recent.push(x) {
-            // NaN rejected.
-            return false;
-        }
-        if self.recent.len() < self.block {
-            return false;
-        }
-        let current = self.recent.snapshot();
-        self.recent.clear();
-        match &self.reference {
-            None => {
-                self.reference = Some(current);
-                false
-            }
-            Some(reference) => {
-                let d = reference.ks_distance(&current);
-                if d > self.threshold {
-                    self.reference = Some(current);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Replaces the reference distribution (e.g. after an external remap).
-    pub fn rebase(&mut self, cdf: EmpiricalCdf) {
-        self.reference = Some(TreapCdf::from_samples(cdf.samples().iter().copied()));
-        self.recent.clear();
-    }
-
-    /// The current reference distribution, if one has been established.
-    pub fn reference(&self) -> Option<&TreapCdf> {
-        self.reference.as_ref()
-    }
-}
-
 /// Splits a series into equal-length epoch means — used to downsample
 /// fine-grained measurements (0.1 s) to coarser windows (1 s) when
 /// studying the measurement-window sweep of Figure 4.
 pub fn downsample_means(xs: &[f64], factor: usize) -> Vec<f64> {
     assert!(factor > 0, "factor must be positive");
     xs.chunks(factor).map(crate::metrics::mean).collect()
-}
-
-/// Normalized histogram-distance drift score between two sample blocks
-/// (convenience wrapper over [`EmpiricalCdf::ks_distance`]).
-pub fn ks_between(a: &[f64], b: &[f64]) -> f64 {
-    let ca = EmpiricalCdf::from_clean_samples(a.to_vec());
-    let cb = EmpiricalCdf::from_clean_samples(b.to_vec());
-    ca.ks_distance(&cb)
 }
 
 /// Hurst-exponent estimate via the aggregated-variance method.
@@ -250,56 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn drift_detector_fires_on_level_shift() {
-        let mut d = DriftDetector::new(50, 0.5);
-        let mut fired = false;
-        for _ in 0..100 {
-            fired |= d.observe(10.0);
-        }
-        assert!(!fired, "no drift on a stable series");
-        for _ in 0..50 {
-            fired |= d.observe(100.0);
-        }
-        assert!(fired, "level shift must trigger drift");
-    }
-
-    #[test]
-    fn drift_detector_quiet_on_same_distribution() {
-        let mut d = DriftDetector::new(100, 0.3);
-        let mut fired = false;
-        for i in 0..1000u64 {
-            // Same pseudo-uniform distribution throughout.
-            let x = (i.wrapping_mul(2654435761) % 100) as f64;
-            fired |= d.observe(x);
-        }
-        assert!(!fired);
-    }
-
-    #[test]
-    fn drift_detector_rebase() {
-        let mut d = DriftDetector::new(10, 0.5);
-        for _ in 0..10 {
-            d.observe(1.0);
-        }
-        assert!(d.reference().is_some());
-        d.rebase(EmpiricalCdf::from_clean_samples(vec![5.0; 10]));
-        // New block equal to rebased reference: no drift.
-        let mut fired = false;
-        for _ in 0..10 {
-            fired |= d.observe(5.0);
-        }
-        assert!(!fired);
-    }
-
-    #[test]
     fn downsample_means_averages_chunks() {
         let xs = [1.0, 3.0, 5.0, 7.0, 9.0];
         assert_eq!(downsample_means(&xs, 2), vec![2.0, 6.0, 9.0]);
-    }
-
-    #[test]
-    fn ks_between_identical_blocks() {
-        assert_eq!(ks_between(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
     }
 
     /// Deterministic xorshift64* generator (a Weyl sequence would be

@@ -2,7 +2,8 @@
 //! PGOS guarantee math (Lemmas 1 & 2) relies on.
 
 use iqpaths_stats::{
-    BandwidthCdf, EmpiricalCdf, HistogramCdf, QuantileSketch, RollingCdf, SampleWindow,
+    BandwidthCdf, CdfSummary, EmpiricalCdf, HistogramCdf, QuantileSketch, RollingCdf, SampleWindow,
+    WindowCdf,
 };
 use proptest::prelude::*;
 
@@ -116,8 +117,57 @@ proptest! {
         prop_assert_eq!(t.prob_below_strict(b), exact.prob_below_strict(b));
         prop_assert_eq!(t.truncated_mean(b), exact.truncated_mean(b));
         prop_assert_eq!(t.mean(), exact.mean());
-        let twin = iqpaths_stats::TreapCdf::from_samples(exact.samples().iter().copied());
+        let twin = WindowCdf::from_samples(exact.samples().iter().copied());
         prop_assert_eq!(t.ks_distance(&twin), 0.0);
+    }
+
+    #[test]
+    fn replace_edits_bound_the_ks_drift(
+        reference in prop::collection::vec(0.0..64.0f64, 1..200),
+        window in prop::collection::vec(0.0..64.0f64, 1..200),
+        picks in prop::collection::vec(0usize..1_000_000, 0..40),
+        fresh in prop::collection::vec(0.0..64.0f64, 40),
+        factor in 0.0..=1.0f64,
+        shift in 0u8..2,
+    ) {
+        // The scheduler's drift memo skips a KS scan when
+        // ks(R, P) + e / (2N) cannot exceed its threshold: C came from
+        // the full window P (N samples) by e single-sample edits with
+        // the length restored, so the counting functions of P and C
+        // differ by at most e / 2 everywhere. Floored values make ties
+        // common. `shift == 1` is the case that meets the bound: R = P,
+        // and each edit swaps the largest sample for one below them all.
+        let mut held: Vec<f64> = window.iter().map(|v| v.floor()).collect();
+        let mut r = RollingCdf::new();
+        for &v in &held {
+            r.push(v);
+        }
+        let p = CdfSummary::rolling(r.snapshot()).scale(factor);
+        let reference = if shift == 1 {
+            p.clone()
+        } else {
+            let floored = reference.iter().map(|v| v.floor());
+            CdfSummary::rolling(WindowCdf::from_samples(floored))
+        };
+        for (k, &pick) in picks.iter().enumerate() {
+            let (old, v) = if shift == 1 {
+                (r.snapshot().max().unwrap(), -1.0 - k as f64)
+            } else {
+                (held.swap_remove(pick % held.len()), fresh[k].floor())
+            };
+            prop_assert!(r.remove(old));
+            r.push(v);
+            held.push(v);
+        }
+        let c = CdfSummary::rolling(r.snapshot()).scale(factor);
+        let edits = c.edits().unwrap() - p.edits().unwrap();
+        prop_assert_eq!(edits, 2 * picks.len() as u64);
+        let n = window.len() as f64;
+        let (before, after) = (reference.ks_distance(&p), reference.ks_distance(&c));
+        prop_assert!(
+            after <= before + edits as f64 / (2.0 * n) + 1e-12,
+            "ks(R,C)={} ks(R,P)={} e={} N={}", after, before, edits, n
+        );
     }
 
     #[test]

@@ -64,38 +64,3 @@ fn monitoring_module_cdf_matches_offline_cdf() {
         assert_eq!(stats.cdf.quantile(q), offline.quantile(q));
     }
 }
-
-#[test]
-fn drift_detector_fires_on_regime_change_traces() {
-    use iq_paths::stats::timeseries::DriftDetector;
-    // Two glued regimes with very different floors.
-    let a = available_bandwidth(
-        &EnvelopeConfig {
-            util_range: (0.3, 0.3),
-            ..Default::default()
-        },
-        0.1,
-        100.0,
-        1,
-    );
-    let b = available_bandwidth(
-        &EnvelopeConfig {
-            util_range: (0.7, 0.7),
-            ..Default::default()
-        },
-        0.1,
-        100.0,
-        2,
-    );
-    let mut d = DriftDetector::new(200, 0.3);
-    let mut fired_in_a = false;
-    for &x in a.rates() {
-        fired_in_a |= d.observe(x);
-    }
-    assert!(!fired_in_a, "false positive within a single regime");
-    let mut fired_in_b = false;
-    for &x in b.rates() {
-        fired_in_b |= d.observe(x);
-    }
-    assert!(fired_in_b, "missed a 40-point utilization shift");
-}
