@@ -172,7 +172,8 @@ pub struct Pgos {
     fp: FallbackIndex,
     /// Window-start scratch: per-path CDF summaries (reused across
     /// windows so the per-window snapshot refresh allocates nothing
-    /// once at capacity).
+    /// once at capacity; emptied after each window start so it pins
+    /// no path's samples between windows).
     cdf_scratch: Vec<CdfSummary>,
     /// Remap scratch: previous-placement affinity vector.
     affinity_scratch: Vec<Option<usize>>,
@@ -1003,6 +1004,7 @@ impl MultipathScheduler for Pgos {
             }
             r
         };
+        cdfs.clear();
         self.cdf_scratch = cdfs;
         if self.trace.enabled() {
             self.trace.emit(TraceEvent::WindowStart {

@@ -14,7 +14,9 @@ use iqpaths_core::queues::StreamQueues;
 use iqpaths_core::traits::{MultipathScheduler, PathSnapshot};
 use iqpaths_overlay::node::MonitoringModule;
 use iqpaths_overlay::path::OverlayPath;
-use iqpaths_overlay::planner::{build_planner, PathBelief, PlannerKind, ProbeBudget};
+use iqpaths_overlay::planner::{
+    build_planner, PathBelief, PlannerKind, ProbeBudget, ProbeSelection,
+};
 use iqpaths_overlay::probe::AvailBwProbe;
 use iqpaths_simnet::fault::{fnv1a64, salted_seed, FaultInjector, FaultSchedule};
 use iqpaths_simnet::monitor::ThroughputMonitor;
@@ -380,28 +382,23 @@ fn goodput_snapshots_into(
     out: &mut Vec<PathSnapshot>,
 ) {
     out.clear();
-    out.extend(
-        monitoring
-            .all_stats()
-            .into_iter()
-            .enumerate()
-            .map(|(j, st)| {
-                let measured_loss = if path_transmitted[j] == 0 {
-                    0.0
-                } else {
-                    path_lost[j] as f64 / path_transmitted[j] as f64
-                };
-                let goodput_factor = 1.0 - measured_loss;
-                PathSnapshot {
-                    index: j,
-                    cdf: st.cdf.scale(goodput_factor),
-                    mean_prediction: st.mean_prediction * goodput_factor,
-                    oracle_next_rate: oracle(j),
-                    rtt: st.rtt,
-                    loss: measured_loss,
-                }
-            }),
-    );
+    out.extend((0..monitoring.paths()).map(|j| {
+        let st = monitoring.stats(j);
+        let measured_loss = if path_transmitted[j] == 0 {
+            0.0
+        } else {
+            path_lost[j] as f64 / path_transmitted[j] as f64
+        };
+        let goodput_factor = 1.0 - measured_loss;
+        PathSnapshot {
+            index: j,
+            cdf: st.cdf.scale(goodput_factor),
+            mean_prediction: st.mean_prediction * goodput_factor,
+            oracle_next_rate: oracle(j),
+            rtt: st.rtt,
+            loss: measured_loss,
+        }
+    }));
 }
 
 /// The one event loop: [`run_traced`] that additionally returns how many
@@ -490,6 +487,16 @@ pub fn run_traced_counted(
     );
     let mut probe_slot: u64 = 0;
     let mut probe_counts = vec![0u64; n_paths];
+    // Planner state reused by every probe slot: the beliefs (one per
+    // path, empty for planners that read none), the observation count
+    // each belief was last refreshed at, and the selection buffer.
+    let mut beliefs: Vec<PathBelief> = if planner.needs_beliefs() {
+        vec![PathBelief::empty(0); n_paths]
+    } else {
+        Vec::new()
+    };
+    let mut belief_seen: Vec<Option<u64>> = vec![None; beliefs.len()];
+    let mut selection: Vec<ProbeSelection> = Vec::with_capacity(n_paths);
     // Lemma-1 estimand threshold for active planning: the aggregate
     // guaranteed demand the path set must clear.
     let demand: f64 = specs
@@ -869,32 +876,27 @@ pub fn run_traced_counted(
                 });
             }
             Ev::Probe => {
-                // Belief construction is skipped for schedule-driven
-                // planners — the default periodic path pays nothing.
-                let beliefs: Vec<PathBelief> = if planner.needs_beliefs() {
-                    (0..n_paths)
-                        .map(|j| {
-                            let st = monitoring.stats(j);
-                            let samples = st.cdf.len();
-                            let prob_ok = if samples == 0 || demand <= 0.0 {
-                                0.5
-                            } else {
-                                1.0 - st.cdf.prob_below_strict(demand)
-                            };
-                            let staleness_slots = monitoring
-                                .staleness(j, now_s)
-                                .map_or((probe_slot + 1) as f64, |s| s / cfg.probe_interval_secs);
-                            PathBelief {
-                                prob_ok,
-                                samples,
-                                staleness_slots,
-                            }
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let selection = planner.plan(probe_slot, n_paths, &beliefs);
+                // Beliefs are kept only for belief-driven planners — the
+                // default periodic path pays nothing. A path's estimand
+                // is recomputed only when an observation reached it
+                // since the last refresh; staleness moves every slot.
+                for (j, belief) in beliefs.iter_mut().enumerate() {
+                    let seen = monitoring.observations(j);
+                    if belief_seen[j] != Some(seen) {
+                        belief_seen[j] = Some(seen);
+                        let st = monitoring.stats(j);
+                        belief.samples = st.cdf.len();
+                        belief.prob_ok = if belief.samples == 0 || demand <= 0.0 {
+                            0.5
+                        } else {
+                            1.0 - st.cdf.prob_below_strict(demand)
+                        };
+                    }
+                    belief.staleness_slots = monitoring
+                        .staleness(j, now_s)
+                        .map_or((probe_slot + 1) as f64, |s| s / cfg.probe_interval_secs);
+                }
+                planner.plan_into(probe_slot, n_paths, &beliefs, &mut selection);
                 if !planner_default {
                     let allowance = cfg.probe_budget.allowance(probe_slot, n_paths).min(n_paths);
                     trace.emit(TraceEvent::ProbePlan {
@@ -969,6 +971,10 @@ pub fn run_traced_counted(
                     (cfg.window_secs * 1e9) as u64,
                     &snapshot_scratch,
                 );
+                // Release the snapshots (keeping the capacity): held
+                // across the window, each would make the next probe
+                // write to its path copy a Rolling CDF's sample vector.
+                snapshot_scratch.clear();
                 upcalls.extend(scheduler.drain_upcalls());
                 for j in 0..n_paths {
                     if idle[j] && services[j].is_free(now) && scheduler.uses_path(j) {

@@ -69,6 +69,9 @@ pub struct MonitoringModule {
     means: Vec<Ewma>,
     rtts: Vec<f64>,
     last_seen: Vec<Option<f64>>,
+    /// Bandwidth observations fed per path (see
+    /// [`MonitoringModule::observations`]).
+    observations: Vec<u64>,
 }
 
 impl MonitoringModule {
@@ -117,6 +120,7 @@ impl MonitoringModule {
             means: (0..paths).map(|_| Ewma::new(0.3)).collect(),
             rtts: vec![0.0; paths],
             last_seen: vec![None; paths],
+            observations: vec![0; paths],
         }
     }
 
@@ -156,9 +160,20 @@ impl MonitoringModule {
             }
         }
         self.means[path].observe(bw);
+        self.observations[path] += 1;
         // Delayed (fault-injected) reports can arrive out of order;
         // staleness tracks the newest measurement timestamp seen.
         self.last_seen[path] = Some(self.last_seen[path].map_or(t, |prev| prev.max(t)));
+    }
+
+    /// How many bandwidth measurements [`MonitoringModule::observe_bandwidth`]
+    /// has fed `path`. Only that call moves the count, and every
+    /// distribution-derived quantity of [`MonitoringModule::stats`]
+    /// (the CDF, the mean prediction) is a function of the calls it
+    /// counts, so a caller that caches such a quantity can refresh it
+    /// exactly when the count moved.
+    pub fn observations(&self, path: usize) -> u64 {
+        self.observations[path]
     }
 
     /// Timestamp of the newest bandwidth measurement recorded for
@@ -301,6 +316,37 @@ mod tests {
         assert_eq!(m.staleness(0, 5.0), Some(2.0));
         // Other paths are independent.
         assert_eq!(m.staleness(1, 5.0), None);
+    }
+
+    #[test]
+    fn observation_count_moves_only_on_observe_bandwidth() {
+        let modes = [
+            CdfMode::Exact,
+            CdfMode::Histogram {
+                bins: 16,
+                resolution: 8,
+                max_bw: 100.0e6,
+            },
+            CdfMode::Rolling,
+            CdfMode::Sketch { markers: 5 },
+        ];
+        for mode in modes {
+            let mut m = MonitoringModule::with_mode(2, 4, mode);
+            assert_eq!((m.observations(0), m.observations(1)), (0, 0));
+            // Past the window capacity, so evictions are counted too.
+            for i in 0..6u64 {
+                m.observe_bandwidth(0, i as f64, pseudo_bw(i));
+                assert_eq!(m.observations(0), i + 1, "{mode:?}");
+                assert_eq!(m.observations(1), 0, "{mode:?}");
+            }
+            m.observe_bandwidth(1, 7.0, pseudo_bw(7));
+            assert_eq!(m.observations(1), 1, "{mode:?}");
+            m.observe_rtt(0, 0.01);
+            let _ = m.stats(0);
+            let _ = m.all_stats();
+            let _ = (m.staleness(0, 9.0), m.last_observed(0), m.sample_count(0));
+            assert_eq!((m.observations(0), m.observations(1)), (6, 1), "{mode:?}");
+        }
     }
 
     #[test]

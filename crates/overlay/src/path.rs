@@ -1,7 +1,7 @@
 //! Concrete overlay paths over the emulated network.
 
 use iqpaths_simnet::fault::FaultSchedule;
-use iqpaths_simnet::link::Link;
+use iqpaths_simnet::link::{bottleneck_residual, Link};
 use iqpaths_simnet::server::PathService;
 use iqpaths_simnet::time::SimDuration;
 use iqpaths_traces::RateTrace;
@@ -46,12 +46,7 @@ impl OverlayPath {
     /// Bottleneck residual bandwidth at time `t` (seconds) — ground
     /// truth; probes add noise on top.
     pub fn residual_at(&self, t: f64) -> f64 {
-        // The fold of `bottleneck_residual`, without collecting the
-        // link references it takes.
-        self.links
-            .iter()
-            .map(|l| l.residual_at(t))
-            .fold(f64::INFINITY, f64::min)
+        bottleneck_residual(&self.links, t)
     }
 
     /// Average bottleneck residual over `[from, to)`, sampled at `step`
@@ -182,9 +177,8 @@ mod tests {
     #[test]
     fn residual_at_matches_bottleneck_residual_bitwise() {
         let p = path();
-        let refs: Vec<&Link> = p.links().iter().collect();
         for t in [0.0, 0.5, 1.0, 1.25, 2.0, 9.0] {
-            let want = iqpaths_simnet::link::bottleneck_residual(&refs, t);
+            let want = iqpaths_simnet::link::bottleneck_residual(p.links(), t);
             assert_eq!(p.residual_at(t).to_bits(), want.to_bits(), "t={t}");
         }
     }

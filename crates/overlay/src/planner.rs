@@ -155,17 +155,32 @@ pub trait ProbePlanner {
     /// Frozen planner name (matches [`PlannerKind::name`]).
     fn name(&self) -> &'static str;
 
-    /// Whether [`ProbePlanner::plan`] reads `beliefs`. Callers may pass
-    /// an empty slice when this is `false` and skip snapshot costs.
+    /// Whether [`ProbePlanner::plan_into`] reads `beliefs`. Callers may
+    /// pass an empty slice when this is `false` and skip snapshot costs.
     fn needs_beliefs(&self) -> bool {
         false
     }
 
-    /// Paths to probe at `slot`, in ascending path order (the order the
-    /// legacy probe-everything loop used). `beliefs`, when provided,
-    /// has one entry per path. Never returns more than
-    /// `budget.allowance(slot, n_paths)` selections.
-    fn plan(&mut self, slot: u64, n_paths: usize, beliefs: &[PathBelief]) -> Vec<ProbeSelection>;
+    /// Writes the paths to probe at `slot` into `out` (cleared first),
+    /// in ascending path order (the order the legacy probe-everything
+    /// loop used). `beliefs`, when provided, has one entry per path.
+    /// Never writes more than `budget.allowance(slot, n_paths)`
+    /// selections. Planners keep their own scratch, so a caller that
+    /// reuses `out` plans every slot without allocating.
+    fn plan_into(
+        &mut self,
+        slot: u64,
+        n_paths: usize,
+        beliefs: &[PathBelief],
+        out: &mut Vec<ProbeSelection>,
+    );
+
+    /// [`ProbePlanner::plan_into`] into a fresh `Vec`.
+    fn plan(&mut self, slot: u64, n_paths: usize, beliefs: &[PathBelief]) -> Vec<ProbeSelection> {
+        let mut out = Vec::new();
+        self.plan_into(slot, n_paths, beliefs, &mut out);
+        out
+    }
 
     /// The budget the planner enforces.
     fn budget(&self) -> ProbeBudget;
@@ -190,19 +205,25 @@ impl ProbePlanner for PeriodicPlanner {
         PlannerKind::Periodic.name()
     }
 
-    fn plan(&mut self, slot: u64, n_paths: usize, _beliefs: &[PathBelief]) -> Vec<ProbeSelection> {
+    fn plan_into(
+        &mut self,
+        slot: u64,
+        n_paths: usize,
+        _beliefs: &[PathBelief],
+        out: &mut Vec<ProbeSelection>,
+    ) {
+        out.clear();
         let a = self.budget.allowance(slot, n_paths).min(n_paths);
         // Round-robin from the cursor so a sub-unity allowance still
         // visits every path at a uniform reduced rate. Under Unlimited
         // the allowance equals n_paths and this is [0, n_paths) in
         // ascending order — the historical schedule, bit for bit.
-        let mut picked: Vec<usize> = (0..a).map(|i| (self.cursor + i) % n_paths).collect();
+        out.extend((0..a).map(|i| ProbeSelection {
+            path: (self.cursor + i) % n_paths,
+            score: 0.0,
+        }));
         self.cursor = (self.cursor + a) % n_paths.max(1);
-        picked.sort_unstable();
-        picked
-            .into_iter()
-            .map(|path| ProbeSelection { path, score: 0.0 })
-            .collect()
+        out.sort_unstable_by_key(|s| s.path);
     }
 
     fn budget(&self) -> ProbeBudget {
@@ -224,12 +245,20 @@ const CORRELATION_DISCOUNT: f64 = 0.5;
 pub struct ActivePlanner {
     budget: ProbeBudget,
     seed: u64,
-    /// Jaccard link-overlap matrix; identity topology (all paths
-    /// link-disjoint) unless [`ActivePlanner::with_incidence`] installs
-    /// real link sets.
-    overlap: Vec<Vec<f64>>,
+    /// Sparse Jaccard link overlaps: `overlap[i]` lists `(j, w)` for
+    /// every other path `j` sharing a link with `i` (`w > 0`). Empty
+    /// rows (all paths link-disjoint) unless
+    /// [`ActivePlanner::with_incidence`] installs real link sets.
+    overlap: Vec<Vec<(usize, f64)>>,
     /// Slot at which each path was last selected.
     last_selected: Vec<Option<u64>>,
+    /// Per-slot scratch: each path's (discounted) score.
+    score: Vec<f64>,
+    /// Per-slot scratch: each path's tie-break hash.
+    tie: Vec<u64>,
+    /// Per-slot scratch: path indices, picked prefix then the unpicked
+    /// tail in descending (score, tie, index) order.
+    order: Vec<usize>,
 }
 
 impl ActivePlanner {
@@ -238,8 +267,11 @@ impl ActivePlanner {
         Self {
             budget,
             seed,
-            overlap: vec![vec![0.0; n_paths]; n_paths],
+            overlap: vec![Vec::new(); n_paths],
             last_selected: vec![None; n_paths],
+            score: Vec::with_capacity(n_paths),
+            tie: Vec::with_capacity(n_paths),
+            order: Vec::with_capacity(n_paths),
         }
     }
 
@@ -256,44 +288,53 @@ impl ActivePlanner {
         assert_eq!(links.len(), n, "incidence must cover every path");
         let sets: Vec<std::collections::BTreeSet<u64>> =
             links.iter().map(|l| l.iter().copied().collect()).collect();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
+        for (i, row) in self.overlap.iter_mut().enumerate() {
+            row.clear();
+            for j in (0..n).filter(|&j| j != i) {
                 let inter = sets[i].intersection(&sets[j]).count() as f64;
-                let union = sets[i].union(&sets[j]).count() as f64;
-                self.overlap[i][j] = if union > 0.0 { inter / union } else { 0.0 };
+                if inter > 0.0 {
+                    let union = sets[i].union(&sets[j]).count() as f64;
+                    row.push((j, inter / union));
+                }
             }
         }
         self
     }
+}
 
-    /// The pre-discount information score for one belief at `slot`:
-    /// sampling variance of the Lemma-1 estimand plus staleness
-    /// pressure. An empty CDF scores the maximal Bernoulli variance.
-    fn base_score(&self, belief: &PathBelief, path: usize, slot: u64) -> f64 {
-        let p = belief.prob_ok.clamp(0.0, 1.0);
-        let var = if belief.samples == 0 {
-            0.25
-        } else {
-            (p * (1.0 - p)) / belief.samples as f64
-        };
-        // Staleness is the larger of what the monitoring layer reports
-        // (covers lost/delayed reports) and slots since this planner
-        // last scheduled the path (covers paths never yet selected).
-        let since_selected = match self.last_selected[path] {
-            Some(s) => (slot - s) as f64,
-            None => (slot + 1) as f64,
-        };
-        let stale = belief.staleness_slots.max(since_selected).max(0.0);
-        var + STALENESS_WEIGHT * stale
-    }
+/// The pre-discount information score for one belief at `slot`:
+/// sampling variance of the Lemma-1 estimand plus staleness pressure.
+/// An empty CDF scores the maximal Bernoulli variance. `last_selected`
+/// is the slot the planner last scheduled the path in.
+fn base_score(belief: &PathBelief, last_selected: Option<u64>, slot: u64) -> f64 {
+    let p = belief.prob_ok.clamp(0.0, 1.0);
+    let var = if belief.samples == 0 {
+        0.25
+    } else {
+        (p * (1.0 - p)) / belief.samples as f64
+    };
+    // Staleness is the larger of what the monitoring layer reports
+    // (covers lost/delayed reports) and slots since this planner last
+    // scheduled the path (covers paths never yet selected).
+    let since_selected = match last_selected {
+        Some(s) => (slot - s) as f64,
+        None => (slot + 1) as f64,
+    };
+    let stale = belief.staleness_slots.max(since_selected).max(0.0);
+    var + STALENESS_WEIGHT * stale
+}
 
-    /// Deterministic tie-break hash for `(slot, path)`.
-    fn tie(&self, slot: u64, path: usize) -> u64 {
-        splitmix64(self.seed ^ splitmix64(slot.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ path as u64)
-    }
+/// Sorts `paths` into descending (score, tie, index) order: the first
+/// entry is the one `Iterator::max_by` over ascending indices with the
+/// (score, tie) key would return, since `max_by` keeps the last of
+/// equal maxima.
+fn sort_descending(paths: &mut [usize], score: &[f64], tie: &[u64]) {
+    paths.sort_unstable_by(|&i, &j| {
+        score[j]
+            .total_cmp(&score[i])
+            .then_with(|| tie[j].cmp(&tie[i]))
+            .then_with(|| j.cmp(&i))
+    });
 }
 
 impl ProbePlanner for ActivePlanner {
@@ -305,47 +346,62 @@ impl ProbePlanner for ActivePlanner {
         true
     }
 
-    fn plan(&mut self, slot: u64, n_paths: usize, beliefs: &[PathBelief]) -> Vec<ProbeSelection> {
+    fn plan_into(
+        &mut self,
+        slot: u64,
+        n_paths: usize,
+        beliefs: &[PathBelief],
+        out: &mut Vec<ProbeSelection>,
+    ) {
         assert_eq!(beliefs.len(), n_paths, "active planning needs beliefs");
+        out.clear();
         let a = self.budget.allowance(slot, n_paths).min(n_paths);
         if a == 0 {
-            return Vec::new();
+            return;
         }
-        let mut score: Vec<f64> = (0..n_paths)
-            .map(|j| self.base_score(&beliefs[j], j, slot))
-            .collect();
-        let mut taken = vec![false; n_paths];
-        let mut picked: Vec<ProbeSelection> = Vec::with_capacity(a);
-        for _ in 0..a {
-            // Greedy argmax with a seeded tie-break; f64 total order
-            // keeps the comparison deterministic.
-            let best = (0..n_paths)
-                .filter(|&j| !taken[j])
-                .max_by(|&i, &j| {
-                    score[i]
-                        .total_cmp(&score[j])
-                        .then_with(|| self.tie(slot, i).cmp(&self.tie(slot, j)))
-                })
-                .expect("a <= n_paths leaves a candidate");
-            taken[best] = true;
-            picked.push(ProbeSelection {
+        let Self {
+            seed,
+            overlap,
+            last_selected,
+            score,
+            tie,
+            order,
+            ..
+        } = self;
+        score.clear();
+        score.extend((0..n_paths).map(|j| base_score(&beliefs[j], last_selected[j], slot)));
+        // Deterministic tie-break hash per (slot, path), computed once.
+        let slot_hash = splitmix64(slot.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        tie.clear();
+        tie.extend((0..n_paths).map(|j| splitmix64(*seed ^ slot_hash ^ j as u64)));
+        order.clear();
+        order.extend(0..n_paths);
+        // Greedy argmax, as one sort: the head of the unpicked tail is
+        // the argmax of what is left. Shared-bottleneck discounting
+        // (probing `best` also informs paths that cross its links, so
+        // their marginal information shrinks for the rest of this slot)
+        // is the only thing that moves a score, so the tail needs a
+        // re-sort only after a pick with a non-empty overlap row.
+        sort_descending(order, score, tie);
+        for k in 0..a {
+            let best = order[k];
+            out.push(ProbeSelection {
                 path: best,
                 score: score[best],
             });
-            // Shared-bottleneck discounting: probing `best` also
-            // informs paths that cross its links, so their marginal
-            // information shrinks for the rest of this slot.
-            for j in 0..n_paths {
-                if !taken[j] {
-                    score[j] *= 1.0 - CORRELATION_DISCOUNT * self.overlap[best][j];
+            if !overlap[best].is_empty() {
+                // Picked paths' scores are never read again, so the
+                // row is applied without a taken-check.
+                for &(j, w) in &overlap[best] {
+                    score[j] *= 1.0 - CORRELATION_DISCOUNT * w;
                 }
+                sort_descending(&mut order[k + 1..], score, tie);
             }
         }
-        for sel in &picked {
-            self.last_selected[sel.path] = Some(slot);
+        for sel in out.iter() {
+            last_selected[sel.path] = Some(slot);
         }
-        picked.sort_unstable_by_key(|s| s.path);
-        picked
+        out.sort_unstable_by_key(|s| s.path);
     }
 
     fn budget(&self) -> ProbeBudget {

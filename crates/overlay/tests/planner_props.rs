@@ -14,9 +14,17 @@
 //! * **Legacy pass-through** — `PeriodicPlanner` under
 //!   `ProbeBudget::Unlimited` reproduces the historical
 //!   probe-everything schedule bit-identically: paths `0..n` in
-//!   ascending order, every slot.
+//!   ascending order, every slot;
+//! * **Sorted greedy ≡ scan greedy** — `ActivePlanner` (one descending
+//!   sort, sparse overlap rows) makes the same selections, score bits
+//!   included, as the scan-per-pick greedy over a dense overlap matrix
+//!   kept below as the oracle, on beliefs full of exact ties.
 
-use iqpaths_overlay::planner::{build_planner, PathBelief, PlannerKind, ProbeBudget};
+use iqpaths_overlay::planner::{
+    build_planner, ActivePlanner, PathBelief, PlannerKind, ProbeBudget, ProbePlanner,
+    ProbeSelection,
+};
+use iqpaths_simnet::fault::splitmix64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +83,141 @@ fn plan_paths(
         .collect()
 }
 
+/// The scan greedy `ActivePlanner` implemented before it planned by
+/// sorting: a dense Jaccard matrix, and per pick an argmax scan over
+/// the untaken paths that hashes tie-breaks inside the comparator.
+struct ScanActivePlanner {
+    budget: ProbeBudget,
+    seed: u64,
+    overlap: Vec<Vec<f64>>,
+    last_selected: Vec<Option<u64>>,
+}
+
+impl ScanActivePlanner {
+    fn new(seed: u64, budget: ProbeBudget, links: &[Vec<u64>]) -> Self {
+        let n = links.len();
+        let sets: Vec<std::collections::BTreeSet<u64>> =
+            links.iter().map(|l| l.iter().copied().collect()).collect();
+        let mut overlap = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let inter = sets[i].intersection(&sets[j]).count() as f64;
+                let union = sets[i].union(&sets[j]).count() as f64;
+                overlap[i][j] = if union > 0.0 { inter / union } else { 0.0 };
+            }
+        }
+        Self {
+            budget,
+            seed,
+            overlap,
+            last_selected: vec![None; n],
+        }
+    }
+
+    fn base_score(&self, belief: &PathBelief, path: usize, slot: u64) -> f64 {
+        let p = belief.prob_ok.clamp(0.0, 1.0);
+        let var = if belief.samples == 0 {
+            0.25
+        } else {
+            (p * (1.0 - p)) / belief.samples as f64
+        };
+        let since_selected = match self.last_selected[path] {
+            Some(s) => (slot - s) as f64,
+            None => (slot + 1) as f64,
+        };
+        let stale = belief.staleness_slots.max(since_selected).max(0.0);
+        var + 0.01 * stale
+    }
+
+    fn tie(&self, slot: u64, path: usize) -> u64 {
+        splitmix64(self.seed ^ splitmix64(slot.wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ path as u64)
+    }
+
+    fn plan(&mut self, slot: u64, n_paths: usize, beliefs: &[PathBelief]) -> Vec<ProbeSelection> {
+        let a = self.budget.allowance(slot, n_paths).min(n_paths);
+        if a == 0 {
+            return Vec::new();
+        }
+        let mut score: Vec<f64> = (0..n_paths)
+            .map(|j| self.base_score(&beliefs[j], j, slot))
+            .collect();
+        let mut taken = vec![false; n_paths];
+        let mut picked: Vec<ProbeSelection> = Vec::with_capacity(a);
+        for _ in 0..a {
+            let best = (0..n_paths)
+                .filter(|&j| !taken[j])
+                .max_by(|&i, &j| {
+                    score[i]
+                        .total_cmp(&score[j])
+                        .then_with(|| self.tie(slot, i).cmp(&self.tie(slot, j)))
+                })
+                .expect("a <= n_paths leaves a candidate");
+            taken[best] = true;
+            picked.push(ProbeSelection {
+                path: best,
+                score: score[best],
+            });
+            for j in 0..n_paths {
+                if !taken[j] {
+                    score[j] *= 1.0 - 0.5 * self.overlap[best][j];
+                }
+            }
+        }
+        for sel in &picked {
+            self.last_selected[sel.path] = Some(slot);
+        }
+        picked.sort_unstable_by_key(|s| s.path);
+        picked
+    }
+}
+
+/// Beliefs built to tie: p̂ ∈ {0, ½, 1}, a sample count of 0 or 8, and
+/// one staleness shared by every path of the slot, so many paths score
+/// exactly alike and the tie-break decides.
+fn tied_beliefs(rng: &mut StdRng, n_paths: usize) -> Vec<PathBelief> {
+    let staleness_slots = [0.0, 1.0, 4.0][rng.gen_range(0usize..3)];
+    (0..n_paths)
+        .map(|_| PathBelief {
+            prob_ok: [0.0, 0.5, 1.0][rng.gen_range(0usize..3)],
+            samples: [0, 8][rng.gen_range(0usize..2)],
+            staleness_slots,
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn sorted_greedy_matches_the_scan_oracle(
+        seed in 0u64..1_000_000,
+        n_paths in 1usize..=40,
+        pool in 1u64..12,
+        pct in 1u32..=100,
+    ) {
+        // Each path crosses 1–4 links of a `pool`-link set: a small pool
+        // makes most pairs overlap, a large one leaves many rows empty.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let links: Vec<Vec<u64>> = (0..n_paths)
+            .map(|_| (0..rng.gen_range(1usize..=4)).map(|_| rng.gen_range(0..pool)).collect())
+            .collect();
+        let budget = ProbeBudget::percent(pct);
+        let mut oracle = ScanActivePlanner::new(seed, budget, &links);
+        let mut planner = ActivePlanner::new(n_paths, seed, budget).with_incidence(&links);
+        let mut got = Vec::new();
+        for slot in 0..64u64 {
+            let beliefs = tied_beliefs(&mut rng, n_paths);
+            let want = oracle.plan(slot, n_paths, &beliefs);
+            planner.plan_into(slot, n_paths, &beliefs, &mut got);
+            prop_assert_eq!(got.len(), want.len(), "slot {}", slot);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.path, w.path, "slot {}", slot);
+                prop_assert_eq!(g.score.to_bits(), w.score.to_bits(), "slot {}", slot);
+            }
+        }
+    }
+
     #[test]
     fn planning_is_deterministic_per_seed(
         seed in 0u64..10_000,

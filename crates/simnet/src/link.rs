@@ -145,7 +145,7 @@ impl Link {
     /// Time (seconds) at which a transmission of `bits` starting at
     /// `from` completes on this link alone.
     pub fn finish_time(&self, from: f64, bits: f64) -> f64 {
-        integrate_service(&[self], from, bits)
+        integrate_service(std::slice::from_ref(self), from, bits)
     }
 
     /// Samples the residual bandwidth into a [`RateTrace`] on a uniform
@@ -174,7 +174,7 @@ fn resample(trace: &RateTrace, epoch: f64) -> RateTrace {
 ///
 /// # Panics
 /// Panics on an empty link set.
-pub fn bottleneck_residual(links: &[&Link], t: f64) -> f64 {
+pub fn bottleneck_residual(links: &[Link], t: f64) -> f64 {
     assert!(!links.is_empty(), "a path needs at least one link");
     links
         .iter()
@@ -183,7 +183,7 @@ pub fn bottleneck_residual(links: &[&Link], t: f64) -> f64 {
 }
 
 /// Earliest rate-change instant strictly after `t` across a link set.
-pub fn next_rate_change(links: &[&Link], t: f64) -> Option<f64> {
+pub fn next_rate_change(links: &[Link], t: f64) -> Option<f64> {
     links
         .iter()
         .filter_map(|l| l.next_rate_change_after(t))
@@ -200,7 +200,7 @@ pub fn next_rate_change(links: &[&Link], t: f64) -> Option<f64> {
 ///
 /// # Panics
 /// Panics on an empty link set or negative input.
-pub fn integrate_service(links: &[&Link], from: f64, bits: f64) -> f64 {
+pub fn integrate_service(links: &[Link], from: f64, bits: f64) -> f64 {
     assert!(!links.is_empty(), "a path needs at least one link");
     assert!(from >= 0.0 && bits >= 0.0);
     let mut t = from;
@@ -310,7 +310,7 @@ mod tests {
     fn bottleneck_is_min_across_links() {
         let a = mk_link(Some(RateTrace::new(1.0, vec![20.0])));
         let b = mk_link(Some(RateTrace::new(1.0, vec![60.0])));
-        assert_eq!(bottleneck_residual(&[&a, &b], 0.5), 40.0);
+        assert_eq!(bottleneck_residual(&[a, b], 0.5), 40.0);
     }
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
         let a = mk_link(Some(RateTrace::new(1.0, vec![90.0, 0.0])));
         let b = mk_link(None);
         // 20 bits from t=0: 10 bits by t=1, 10 more at 100 b/s → 1.1.
-        let f = integrate_service(&[&a, &b], 0.0, 20.0);
+        let f = integrate_service(&[a, b], 0.0, 20.0);
         assert!((f - 1.1).abs() < 1e-9, "finish={f}");
     }
 
@@ -340,8 +340,9 @@ mod tests {
             vec![20.0, 80.0, 20.0, 80.0, 20.0],
         )));
         // Sanity: integration converges and is monotone in bits.
-        let f1 = integrate_service(&[&a, &b], 0.0, 10.0);
-        let f2 = integrate_service(&[&a, &b], 0.0, 20.0);
+        let links = [a, b];
+        let f1 = integrate_service(&links, 0.0, 10.0);
+        let f2 = integrate_service(&links, 0.0, 20.0);
         assert!(f2 > f1 && f1 > 0.0);
     }
 

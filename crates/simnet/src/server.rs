@@ -89,8 +89,7 @@ impl PathService {
 
     /// Instantaneous bottleneck residual rate (bits/s) at time `t`.
     pub fn residual_at(&self, t: f64) -> f64 {
-        let refs: Vec<&Link> = self.links.iter().collect();
-        link::bottleneck_residual(&refs, t)
+        link::bottleneck_residual(&self.links, t)
     }
 
     /// End-to-end per-packet loss probability: `1 − Π_j (1 − loss_j)`.
@@ -115,8 +114,7 @@ impl PathService {
             self.index,
             self.busy_until
         );
-        let refs: Vec<&Link> = self.links.iter().collect();
-        let finish_secs = link::integrate_service(&refs, now.as_secs_f64(), pkt.bits());
+        let finish_secs = link::integrate_service(&self.links, now.as_secs_f64(), pkt.bits());
         let finish = SimTime::from_secs_f64(finish_secs).max(now + SimDuration::from_nanos(1));
         self.busy_until = finish;
         self.serving = Some(pkt);

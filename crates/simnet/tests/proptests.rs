@@ -42,9 +42,8 @@ proptest! {
     ) {
         let link = Link::new("l", 100.0, SimDuration::ZERO)
             .with_cross_traffic(RateTrace::new(0.5, rates.iter().map(|r| 100.0 - r).collect()));
-        let refs = [&link];
-        let t1 = integrate_service(&refs, 0.0, bits_a);
-        let t2 = integrate_service(&refs, 0.0, bits_a + extra);
+                let t1 = integrate_service(std::slice::from_ref(&link), 0.0, bits_a);
+        let t2 = integrate_service(std::slice::from_ref(&link), 0.0, bits_a + extra);
         prop_assert!(t2 >= t1 - 1e-9);
     }
 
@@ -59,8 +58,7 @@ proptest! {
         let cross: Vec<f64> = rates.iter().map(|r| 100.0 - r).collect();
         let link = Link::new("l", 100.0, SimDuration::ZERO)
             .with_cross_traffic(RateTrace::new(0.5, cross));
-        let refs = [&link];
-        let finish = integrate_service(&refs, from, bits);
+                let finish = integrate_service(std::slice::from_ref(&link), from, bits);
         // Numeric re-integration on a fine grid.
         let mut acc = 0.0;
         let step = 1e-4f64;
@@ -83,9 +81,8 @@ proptest! {
         // A transmission starting later finishes no earlier (FIFO paths).
         let link = Link::new("l", 100.0, SimDuration::ZERO)
             .with_cross_traffic(RateTrace::new(0.5, rates.iter().map(|r| 100.0 - r).collect()));
-        let refs = [&link];
-        let f1 = integrate_service(&refs, 0.0, b1);
-        let f2 = integrate_service(&refs, f1 + gap, b1);
+                let f1 = integrate_service(std::slice::from_ref(&link), 0.0, b1);
+        let f2 = integrate_service(std::slice::from_ref(&link), f1 + gap, b1);
         prop_assert!(f2 >= f1);
     }
 
