@@ -1,24 +1,12 @@
-//! Fast-path micro-benchmarks for the zero-alloc scheduling refactor:
-//!
-//! 1. **Heap4 vs TimingWheel** — the two priority structures behind
-//!    the fallback index, under the access pattern the scheduler
-//!    actually produces (monotone clock, lazy invalidation via stamps,
-//!    near-future deadlines). The scheduler keys its `behind` and
-//!    `unsched` classes on a 4-ary heap and its `wheel` class on the
-//!    timing wheel; this bench shows why that split wins.
-//! 2. **next_packet vs next_batch** — per-decision cost of the PGOS
-//!    hot path with and without batched dispatch (which hoists the
-//!    backoff gate and index sync out of the per-packet loop).
-//!
-//! All workloads are seeded and deterministic; only the wall-clock
-//! numbers vary by machine. End-to-end throughput (including the
-//! legacy comparison and the CI gate) lives in the harness
-//! `sched_throughput` sweep — this binary is for drilling into the
-//! structures themselves.
+//! PGOS decision-loop micro-benchmark: decisions per second through
+//! `next_packet` and through `next_batch`, which hoists the backoff
+//! gate and index sync out of the per-packet loop. Workloads are
+//! seeded; only wall-clock numbers vary by machine. End-to-end
+//! throughput and its CI gate live in the harness `sched_throughput`
+//! sweep.
 
 use std::time::Instant;
 
-use iqpaths_core::fastpath::{Heap4, TimingWheel};
 use iqpaths_core::queues::{QueuedPacket, StreamQueues};
 use iqpaths_core::scheduler::{Pgos, PgosConfig};
 use iqpaths_core::stream::StreamSpec;
@@ -27,66 +15,6 @@ use iqpaths_simnet::fault::splitmix64;
 use iqpaths_stats::{CdfSummary, EmpiricalCdf};
 
 const OPS: u64 = 1_000_000;
-
-/// Heap4 under the fallback-index pattern: push a near-future key,
-/// advance the clock, pop everything due. Half the pops are stale
-/// (stamp mismatch) to model lazy invalidation.
-fn bench_heap(seed: u64) -> f64 {
-    let mut heap: Heap4<u64> = Heap4::new();
-    let (mut now, mut done, mut live) = (0u64, 0u64, 0u64);
-    let t0 = Instant::now();
-    while done < OPS {
-        for k in 0..64u64 {
-            let horizon = 1 + splitmix64(seed ^ done ^ k) % 1_000_000;
-            heap.push(now + horizon, (k % 32) as u32, done & 1);
-            live += 1;
-        }
-        now += 300_000;
-        while let Some(e) = heap.peek() {
-            if e.key > now {
-                break;
-            }
-            let e = heap.pop().expect("peeked");
-            // Model lazy invalidation: odd stamps are stale entries.
-            if e.stamp == 0 {
-                done += 1;
-            }
-            live -= 1;
-            if done >= OPS {
-                break;
-            }
-        }
-        if live > 1_000_000 {
-            heap.clear();
-            live = 0;
-        }
-    }
-    OPS as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// TimingWheel under the same pattern (insert near-future, advance,
-/// drain expired).
-fn bench_wheel(seed: u64) -> f64 {
-    let mut wheel = TimingWheel::new(0);
-    let mut expired: Vec<_> = Vec::with_capacity(256);
-    let (mut now, mut done) = (0u64, 0u64);
-    let t0 = Instant::now();
-    while done < OPS {
-        for k in 0..64u64 {
-            let horizon = 1 + splitmix64(seed ^ done ^ k) % 1_000_000;
-            wheel.insert(now + horizon, (k % 32) as u32, done & 1);
-        }
-        now += 300_000;
-        expired.clear();
-        wheel.advance(now, &mut expired);
-        for e in &expired {
-            if e.stamp == 0 {
-                done += 1;
-            }
-        }
-    }
-    OPS as f64 / t0.elapsed().as_secs_f64()
-}
 
 fn pgos_fixture(
     streams: usize,
@@ -169,13 +97,6 @@ fn bench_pgos(streams: usize, paths: usize, seed: u64, batched: bool) -> f64 {
 fn main() {
     let seed = iqpaths_bench::seed();
     println!("Fast-path micro-benchmarks (seed {seed})\n");
-
-    let heap = bench_heap(seed);
-    let wheel = bench_wheel(seed);
-    println!("priority structures ({OPS} live expirations, ~50% stale):");
-    println!("{:>28} {:>14.0} ops/s", "Heap4 push/pop", heap);
-    println!("{:>28} {:>14.0} ops/s", "TimingWheel insert/advance", wheel);
-    println!("{:>28} {:>14.2}x\n", "wheel / heap", wheel / heap);
 
     println!("PGOS decision loop (decisions/sec):");
     println!(

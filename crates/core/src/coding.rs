@@ -31,8 +31,6 @@
 //! blocks arrive, by subset enumeration (the dispatch layer caps
 //! `n ≤ 8`, so 2⁸ terms at most).
 
-use serde::{Deserialize, Serialize};
-
 /// Hard cap on blocks per group in the dispatch layer.
 ///
 /// Keeps the lane fan-out per stream tiny, bounds the per-group decode
@@ -437,7 +435,7 @@ pub fn group_decode_probability(k: usize, probs: &[f64]) -> f64 {
 /// Packet `seq` of the stream belongs to group `seq / n` at group
 /// position `seq % n`; positions `< k` are data, the rest parity. Lane
 /// `l` (= group position) is pinned to overlay path `paths[l % paths.len()]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamCoding {
     /// Stream index (dense, as in the scheduler's spec table).
     pub stream: usize,

@@ -4,27 +4,18 @@
 //! stream per decision. The refactored scheduler instead keeps each
 //! backlogged stream in exactly one of three priority structures keyed
 //! on VP/VS virtual deadlines (see `scheduler.rs` and DESIGN.md §12)
-//! and pays O(log n) per touched stream. This module provides the two
-//! candidate backing structures:
-//!
-//! * [`Heap4`] — a 4-ary implicit heap over a reusable `Vec`. Chosen
-//!   for production: exact key order, O(1) min peek, shallow (log₄)
-//!   sift paths, zero allocation once the backing vector reaches its
-//!   high-water mark.
-//! * [`TimingWheel`] — a hierarchical timing wheel (64-slot levels,
-//!   occupancy bitmaps for slot skipping). Benchmarked as the
-//!   alternative (`iqpaths-bench`'s `fastpath_bench` bin); it wins
-//!   only when expirations vastly outnumber peeks, which is the
-//!   opposite of the scheduler's workload (one peek per decision,
-//!   few promotions). Kept for the measured comparison.
+//! and pays O(log n) per touched stream. All three are a [`Heap4`]: a
+//! 4-ary implicit heap over a reusable `Vec`, with exact key order,
+//! O(1) min peek, shallow (log₄) sift paths and zero allocation once
+//! the backing vector reaches its high-water mark.
 //!
 //! Entries are `(key, stream, stamp)` triples. Staleness is handled by
 //! the *caller* through lazy invalidation: the scheduler bumps a
 //! per-stream stamp whenever a stream's classification changes and
-//! discards popped entries whose stamp no longer matches. Neither
-//! structure supports in-place decrease-key — it is never needed.
+//! discards popped entries whose stamp no longer matches. The heap
+//! does not support in-place decrease-key — it is never needed.
 
-/// One entry in a [`Heap4`] or [`TimingWheel`].
+/// One entry in a [`Heap4`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Entry<K> {
     /// Priority key (smaller = sooner).
@@ -117,123 +108,6 @@ impl<K: Ord + Copy> Heap4<K> {
     }
 }
 
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS; // 64: one occupancy word per level
-const WHEEL_LEVELS: usize = 11; // 11 × 6 = 66 bits ≥ any u64 key
-
-/// A hierarchical timing wheel over `u64` keys.
-///
-/// Level `l` buckets keys by bits `[6l, 6(l+1))` of their distance from
-/// the wheel's current time; [`TimingWheel::advance`] expires every
-/// entry with `key <= to`, cascading higher-level slots down as the
-/// clock passes them. A per-level occupancy bitmap lets `advance` skip
-/// directly between occupied slots, so sparse workloads don't pay for
-/// empty ticks. Expired entries are produced in slot order, *not* key
-/// order — fine for "harvest everything due", unlike a heap it cannot
-/// answer "what is the minimum?" cheaply.
-#[derive(Debug, Clone)]
-pub struct TimingWheel {
-    /// `slots[level][slot]` — entries bucketed by key bits
-    /// `[6·level, 6·(level+1))`, level chosen by distance from `now`.
-    slots: Vec<Vec<Vec<Entry<u64>>>>,
-    /// Minimum key per bucket (`u64::MAX` when empty): an O(1) "is
-    /// anything here due?" filter so `advance` skips live-but-distant
-    /// slots without touching their entries.
-    mins: Vec<Vec<u64>>,
-    /// Occupancy bitmap per level (bit `s` = slot `s` non-empty).
-    occupied: [u64; WHEEL_LEVELS],
-    now: u64,
-    len: usize,
-}
-
-impl TimingWheel {
-    /// A wheel whose clock starts at `start`; keys below the clock
-    /// expire on the next [`TimingWheel::advance`].
-    pub fn new(start: u64) -> Self {
-        Self {
-            slots: (0..WHEEL_LEVELS)
-                .map(|_| (0..WHEEL_SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            mins: (0..WHEEL_LEVELS)
-                .map(|_| vec![u64::MAX; WHEEL_SLOTS])
-                .collect(),
-            occupied: [0; WHEEL_LEVELS],
-            now: start,
-            len: 0,
-        }
-    }
-
-    /// Live entries currently stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the wheel holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn place(&mut self, e: Entry<u64>) {
-        let delta = e.key.saturating_sub(self.now);
-        // The level whose span covers the delta; level 0 spans [0, 64).
-        let level = if delta == 0 {
-            0
-        } else {
-            ((63 - u64::from(u64::leading_zeros(delta))) / u64::from(WHEEL_BITS)) as usize
-        };
-        let level = level.min(WHEEL_LEVELS - 1);
-        let slot = ((e.key >> (WHEEL_BITS * level as u32)) as usize) & (WHEEL_SLOTS - 1);
-        self.mins[level][slot] = self.mins[level][slot].min(e.key);
-        self.slots[level][slot].push(e);
-        self.occupied[level] |= 1u64 << slot;
-    }
-
-    /// Inserts an entry (keys in the past expire on the next advance).
-    pub fn insert(&mut self, key: u64, stream: u32, stamp: u64) {
-        self.len += 1;
-        self.place(Entry { key, stream, stamp });
-    }
-
-    /// Moves the clock to `to`, appending every entry with
-    /// `key <= to` onto `expired` (slot order, not key order). `to`
-    /// must not be behind the clock.
-    pub fn advance(&mut self, to: u64, expired: &mut Vec<Entry<u64>>) {
-        debug_assert!(to >= self.now, "wheel clock must be monotone");
-        self.now = to;
-        for level in 0..WHEEL_LEVELS {
-            let mut occ = self.occupied[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                if self.mins[level][slot] > to {
-                    continue; // nothing due in this bucket
-                }
-                let mut bucket = std::mem::take(&mut self.slots[level][slot]);
-                self.occupied[level] &= !(1u64 << slot);
-                self.mins[level][slot] = u64::MAX;
-                for e in bucket.drain(..) {
-                    if e.key <= to {
-                        self.len -= 1;
-                        expired.push(e);
-                    } else {
-                        // Cascade: re-place against the new clock (a
-                        // lower level or a not-yet-due slot; never a
-                        // bucket this pass will expire, since due
-                        // buckets only receive keys > `to`).
-                        self.place(e);
-                    }
-                }
-                // Hand the allocation back for reuse — unless a
-                // cascaded entry re-placed into this very bucket (same
-                // level and slot bits), in which case keep the new one.
-                if self.slots[level][slot].is_empty() {
-                    self.slots[level][slot] = bucket;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,73 +178,5 @@ mod tests {
             got.push(e.key);
         }
         assert_eq!(got, reference);
-    }
-
-    #[test]
-    fn wheel_expires_exactly_the_due_keys() {
-        let mut w = TimingWheel::new(0);
-        let keys = [
-            0u64,
-            1,
-            63,
-            64,
-            65,
-            1000,
-            4095,
-            4096,
-            1 << 20,
-            u64::MAX >> 1,
-        ];
-        for (i, k) in keys.iter().enumerate() {
-            w.insert(*k, i as u32, 0);
-        }
-        assert_eq!(w.len(), keys.len());
-        let mut out = Vec::new();
-        w.advance(64, &mut out);
-        let mut due: Vec<u64> = out.iter().map(|e| e.key).collect();
-        due.sort_unstable();
-        assert_eq!(due, vec![0, 1, 63, 64]);
-        assert_eq!(w.len(), keys.len() - 4);
-        out.clear();
-        w.advance(1 << 20, &mut out);
-        let mut due: Vec<u64> = out.iter().map(|e| e.key).collect();
-        due.sort_unstable();
-        assert_eq!(due, vec![65, 1000, 4095, 4096, 1 << 20]);
-        out.clear();
-        w.advance(u64::MAX, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_cascades_preserve_entries_across_many_advances() {
-        let mut w = TimingWheel::new(0);
-        for i in 0..500u64 {
-            w.insert(i * 977, i as u32, i);
-        }
-        let mut seen = Vec::new();
-        let mut out = Vec::new();
-        let mut t = 0;
-        while !w.is_empty() {
-            t += 1313;
-            w.advance(t, &mut out);
-            for e in out.drain(..) {
-                assert!(e.key <= t, "expired late: key {} at {}", e.key, t);
-                assert_eq!(u64::from(e.stream), e.stamp);
-                seen.push(e.key);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..500).map(|i| i * 977).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn wheel_past_keys_expire_immediately() {
-        let mut w = TimingWheel::new(1000);
-        w.insert(5, 0, 0); // already in the past
-        let mut out = Vec::new();
-        w.advance(1000, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].key, 5);
     }
 }

@@ -26,11 +26,10 @@ use crate::guarantee;
 use crate::stream::{Guarantee, StreamSpec};
 use iqpaths_stats::CdfSummary;
 use iqpaths_trace::{TraceEvent, TraceHandle};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Admission-control notification delivered to the application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Upcall {
     /// A stream could not be scheduled at its requested guarantee. The
     /// application may "reduce its bandwidth requirement (e.g., from 95%
@@ -401,7 +400,7 @@ pub fn largest_remainder_split(x: u32, weights: &[f64]) -> Vec<u32> {
 }
 
 /// Which resource-mapping policy the scheduler runs (docs/POLICIES.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingMode {
     /// The paper's §5.2.2 policy: greedy whole-path-first placement,
     /// splitting only when no single path suffices

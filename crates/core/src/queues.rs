@@ -35,14 +35,12 @@
 //! stream defaults to a single lane with the exact pre-lane layout
 //! and cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coding::MAX_GROUP_BLOCKS;
 
 /// A packet descriptor as seen by the scheduler. Mirrors
 /// `iqpaths_simnet::Packet` but lives here so the scheduler crate stays
 /// emulator-independent; the middleware converts between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedPacket {
     /// Owning stream index.
     pub stream: usize,

@@ -7,14 +7,12 @@
 //! every fixed window, and x_i is the minimum number of packets in the
 //! same stream that must be serviced in the window." (§5.1)
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a stream (matches `iqpaths_simnet::StreamId` numerically;
 /// kept as a plain index here to keep this crate free of the emulator).
 pub type StreamIndex = usize;
 
 /// The guarantee an application requests for a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Guarantee {
     /// With probability at least `p`, the stream receives its required
     /// bandwidth in each scheduling window ("receives its required
@@ -58,7 +56,7 @@ impl Guarantee {
 }
 
 /// Per-window packet-count constraint `(x, y)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConstraint {
     /// Minimum packets that must be serviced per window.
     pub x: u32,
@@ -80,7 +78,7 @@ impl WindowConstraint {
 }
 
 /// Full utility specification of one application stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamSpec {
     /// Dense stream index (position in the scheduler's stream table).
     pub index: StreamIndex,

@@ -1,9 +1,8 @@
 //! Minimal JSON value, writer and parser.
 //!
-//! The workspace's `serde` resolves to a marker shim (no network, no
-//! vendored registry), so the harness carries its own JSON layer —
-//! exactly the subset cell serialization needs. Two properties matter
-//! here beyond correctness:
+//! The workspace builds with no network and no vendored registry, so
+//! the harness carries its own JSON layer — exactly the subset cell
+//! serialization needs. Two properties matter here beyond correctness:
 //!
 //! * **Canonical output.** Objects keep their insertion order and
 //!   numbers render through Rust's shortest-round-trip `f64`/`u64`

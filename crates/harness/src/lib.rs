@@ -22,7 +22,7 @@
 //!   (with a `--check` drift gate for CI) plus `target/experiments/`
 //!   CSVs.
 //! * [`cache`] / [`json`] — the persistence substrate (hand-rolled
-//!   canonical JSON; the workspace `serde` is a no-op shim).
+//!   canonical JSON; the workspace has no serialization dependency).
 //!
 //! The `harness` binary is the user entry point:
 //!

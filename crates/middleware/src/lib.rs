@@ -32,8 +32,6 @@
 
 pub mod builder;
 pub mod knobs;
-pub mod multicast;
-pub mod pubsub;
 pub mod report;
 pub mod runtime;
 

@@ -5,10 +5,9 @@ use iqpaths_core::stream::StreamSpec;
 use iqpaths_stats::metrics::GuaranteeSummary;
 use iqpaths_stats::{BandwidthCdf, EmpiricalCdf};
 use iqpaths_trace::Metrics;
-use serde::Serialize;
 
 /// Per-stream outcome of a run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Stream name.
     pub name: String,
@@ -44,7 +43,6 @@ pub struct StreamReport {
     /// Erasure-coding outcome, present only for streams that ran under
     /// a `Diversity` coding plan (absent ⇒ the classic uncoded path,
     /// keeping pre-Diversity report JSON byte-identical).
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub coding: Option<CodingStats>,
 }
 
@@ -53,7 +51,7 @@ pub struct StreamReport {
 /// before its scheduling-window deadline; a group *decodes* when any
 /// `k` of its `n` blocks are on time, at which point every data block
 /// of the group counts as delivered before deadline.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodingStats {
     /// Blocks per group (data + parity).
     pub n: usize,
@@ -116,7 +114,7 @@ impl StreamReport {
 /// `PartialEq` compares every field bit-for-bit (float equality
 /// included) — the currency of the traced ≡ untraced and repeatability
 /// checks.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Scheduler under test.
     pub scheduler: String,

@@ -24,10 +24,9 @@
 //! sub-epoch fault times are quantized to the epoch grid.
 
 use iqpaths_traces::RateTrace;
-use serde::{Deserialize, Serialize};
 
 /// One fault event. `path` indexes the scheduler's path table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// The path's bottleneck capacity collapses to `factor` × nominal
     /// (`0.0` = fully blocked, `1.0` = nominal) until the next capacity
@@ -112,7 +111,7 @@ impl Fault {
 }
 
 /// A fault with its activation time (absolute emulation seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedFault {
     /// Activation time in seconds.
     pub at: f64,
@@ -146,7 +145,7 @@ pub struct TimedFault {
 /// let b: Vec<bool> = (0..50).map(|_| twin.probe_lost(1, 61.0)).collect();
 /// assert_eq!(a, b);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<TimedFault>,
 }

@@ -7,12 +7,9 @@
 //! multi-hundred-second runs cheap.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Identifies an application stream (dense small integers).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StreamId(pub u32);
 
 impl std::fmt::Display for StreamId {
@@ -23,7 +20,7 @@ impl std::fmt::Display for StreamId {
 
 /// A packet descriptor flowing from a source queue over a path service
 /// to the client.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Owning stream.
     pub stream: StreamId,
@@ -84,7 +81,7 @@ impl Packet {
 }
 
 /// A delivery record produced when a packet reaches the client.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Delivery {
     /// The delivered packet.
     pub packet: Packet,

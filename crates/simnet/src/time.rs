@@ -5,7 +5,6 @@
 //! comparison hazards in the event queue); conversions to fractional
 //! seconds exist at the statistics boundary only.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// Nanoseconds per second.
@@ -13,15 +12,11 @@ pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant of virtual time (nanoseconds since simulation
 /// start).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of virtual time (nanoseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

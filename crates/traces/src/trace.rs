@@ -6,11 +6,9 @@
 //! The simulator integrates these step functions to compute packet
 //! service times; the statistics crate consumes them as sample series.
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-constant, non-negative rate signal sampled on a uniform
 /// epoch grid. Rates are in bits/second; epochs in seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateTrace {
     epoch: f64,
     rates: Vec<f64>,

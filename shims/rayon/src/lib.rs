@@ -1,9 +1,9 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The workspace builds with no network and no vendored registry, so —
-//! like the sibling `serde`/`rand`/`crossbeam` shims — this crate
-//! implements exactly the API subset the repo uses: parallel iteration
-//! over owned collections and slices with order-preserving
+//! like the sibling `rand`, `proptest` and `criterion` shims — this
+//! crate implements exactly the API subset the repo uses: parallel
+//! iteration over owned collections and slices with order-preserving
 //! `map(..).collect()`, `rayon::join`, `current_num_threads`, and a
 //! `ThreadPoolBuilder`/`ThreadPool::install` pair for pinning the
 //! worker count. Swapping back to the real crate is a one-line change

@@ -15,14 +15,13 @@ pub use iqpaths_overlay as overlay;
 pub use iqpaths_simnet as simnet;
 pub use iqpaths_stats as stats;
 pub use iqpaths_traces as traces;
-pub use iqpaths_transport as transport;
 
 /// Section-by-section map from the paper to this implementation.
 ///
 /// | Paper | Here |
 /// |---|---|
 /// | §1 overlay of servers/routers/clients (Fig 1) | [`overlay::graph`], [`simnet::topology`] |
-/// | §3 middleware architecture (Fig 2) | [`middleware`] (runtime), [`transport`] (IQ-RUDP), [`middleware::pubsub`] (ECho layering) |
+/// | §3 middleware architecture (Fig 2) | [`middleware`] (runtime). The ECho messaging and IQ-RUDP transport layers are not reproduced: IQ-Paths sits below the messaging model, and the runtime carries each stream as a queue of sized packets (DESIGN.md §2) |
 /// | §3 overlay node structure (Fig 3) | [`overlay::node::MonitoringModule`] ⇄ [`pgos::scheduler::Pgos`] |
 /// | §4 statistical bandwidth prediction (Fig 4) | [`stats::percentile`], [`stats::predictors`]; sweep `fig04_prediction` ([`harness::sweeps`]) |
 /// | §5.1 streams, window constraints, `F_j(b)` | [`pgos::stream`], [`stats::cdf`] |
@@ -38,7 +37,7 @@ pub use iqpaths_transport as transport;
 /// | tech-report MPEG-4 FGS | [`apps::mpeg4`]; harness `ext_mpeg4_video` |
 /// | tech-report buffer-size analysis | `FrameTracker::startup_delay`; ablation `abl-buffer` |
 /// | §7 loss-rate objectives | `StreamSpec::with_loss_bound`, goodput-scaled CDFs in [`middleware::runtime`] |
-/// | §7 overlay multicast | [`middleware::multicast`] |
+/// | §7 overlay multicast | not reproduced: the paper leaves it to future work |
 /// | DWCS heritage (the paper's ref. 31) | [`baselines::dwcs`] |
 pub mod paper_map {}
 

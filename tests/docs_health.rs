@@ -12,6 +12,9 @@
 //! The same goes for file paths cited in prose: every back-ticked
 //! `dir/file.ext` in the living docs ([`PATH_DOCS`]) must exist, so a
 //! deleted or moved source file cannot leave a stale citation behind.
+//! Cargo targets cited in those docs, fenced commands included, must
+//! exist too: every `--example NAME` as `examples/NAME.rs`, every `-p`
+//! as a workspace package and every `--bin` as a binary of its package.
 
 use std::path::{Path, PathBuf};
 
@@ -101,6 +104,67 @@ fn link_targets(body: &str) -> Vec<String> {
         }
     }
     out
+}
+
+/// The cargo targets cited in `body`, fenced blocks included: each
+/// `--example`, `-p` and `--bin` as `(flag, name, -p of its command)`.
+/// A `cargo` token starts a command, a bare `--` hands the rest of the
+/// line to the program, and placeholders (`<harness>`) are skipped.
+fn cargo_citations(body: &str) -> Vec<(&str, &str, Option<&str>)> {
+    let mut out = Vec::new();
+    for line in body.lines() {
+        let (mut package, mut program_args) = (None, false);
+        let tokens: Vec<&str> = line.split([' ', '`']).filter(|t| !t.is_empty()).collect();
+        for w in tokens.windows(2) {
+            match w[0] {
+                "cargo" => (package, program_args) = (None, false),
+                "--" => program_args = true,
+                flag @ ("--example" | "-p" | "--bin")
+                    if !program_args && !w[1].starts_with('<') =>
+                {
+                    let name = w[1].trim_end_matches([',', ';', '.', ':', ')']);
+                    if flag == "-p" {
+                        package = Some(name);
+                    }
+                    out.push((flag, name, package));
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Every workspace package as `(name, dir)`, found through the root
+/// manifest's `members` entries (`dir` or `dir/*`).
+fn workspace_packages(root: &Path) -> Vec<(String, PathBuf)> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let members = manifest.lines().find(|l| l.starts_with("members = ["));
+    let mut dirs = Vec::new();
+    for member in members.expect("members").split('"').skip(1).step_by(2) {
+        match member.strip_suffix("/*") {
+            Some(parent) => {
+                for entry in std::fs::read_dir(root.join(parent)).expect("member dir") {
+                    dirs.push(entry.expect("dir entry").path());
+                }
+            }
+            None => dirs.push(root.join(member)),
+        }
+    }
+    let package = |dir: PathBuf| {
+        let toml = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+        let name = toml
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))?;
+        Some((name.to_string(), dir))
+    };
+    dirs.into_iter().filter_map(package).collect()
+}
+
+/// Whether a package from [`workspace_packages`] has the binary `bin`.
+/// Every binary in the workspace lives at `src/bin/NAME.rs`.
+fn has_bin((_, dir): &(String, PathBuf), bin: &str) -> bool {
+    dir.join(format!("src/bin/{bin}.rs")).exists()
 }
 
 fn is_external(target: &str) -> bool {
@@ -211,4 +275,46 @@ fn path_scanner_handles_the_shapes_we_use() {
             ".github/workflows/ci.yml",
         ]
     );
+}
+
+#[test]
+fn cited_cargo_targets_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let packages = workspace_packages(root);
+    let package = |p: &str| packages.iter().find(|pkg| pkg.0 == p);
+    let mut unknown = Vec::new();
+    let mut checked = 0usize;
+    for doc in PATH_DOCS {
+        let body = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
+        for (flag, name, p) in cargo_citations(&body) {
+            checked += 1;
+            let exists = match (flag, p) {
+                ("--example", _) => root.join(format!("examples/{name}.rs")).exists(),
+                ("-p", _) => package(name).is_some(),
+                (_, Some(p)) => package(p).is_some_and(|pkg| has_bin(pkg, name)),
+                (_, None) => packages.iter().any(|pkg| has_bin(pkg, name)),
+            };
+            if !exists {
+                unknown.push(format!("{doc}: {flag} {name}"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "docs cite cargo targets that do not exist:\n  {}",
+        unknown.join("\n  ")
+    );
+    assert!(
+        checked > 0,
+        "no cargo targets found across {PATH_DOCS:?} — scanner regression?"
+    );
+}
+
+#[test]
+fn cargo_scanner_handles_the_shapes_we_use() {
+    let cited =
+        cargo_citations("```\ncargo run -p h --bin harness -- --bin x\n```\n`cargo run --bin <y>`");
+    let want = [("-p", "h", Some("h")), ("--bin", "harness", Some("h"))];
+    assert_eq!(cited, want);
 }

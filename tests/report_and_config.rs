@@ -1,4 +1,4 @@
-//! Report serialization and experiment-builder configuration plumbing.
+//! Report CSV/table exports and experiment-builder configuration plumbing.
 
 use iq_paths::apps::smartpointer::SmartPointerConfig;
 use iq_paths::middleware::builder::{Figure8Experiment, SchedulerKind};
@@ -11,13 +11,7 @@ fn tiny() -> Figure8Experiment {
 }
 
 #[test]
-fn reports_serialize_to_json_compatible_structures() {
-    // RunReport derives Serialize; round-trip through the serde data
-    // model (serde_json is not a dependency, so use the CSV/Debug
-    // surfaces plus serde's derive contract via serde_test-free check:
-    // serializing into a string via the `serde` `Serialize` impl using
-    // the `ser` trait with a minimal writer is out of scope — instead
-    // assert the CSV artifacts, which are the shipped format).
+fn report_exports_series_rows_cdf_header_and_summary_table() {
     let out = tiny().run_smartpointer(SmartPointerConfig::default(), SchedulerKind::Pgos);
     let series_csv = out.report.series_csv();
     // Header + one row per (stream, window).
